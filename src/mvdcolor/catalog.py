@@ -185,6 +185,7 @@ class Catalog:
 
     entries: list[CatalogEntry] = field(default_factory=list)
     _by_canon: dict[str, CatalogEntry] = field(default_factory=dict, repr=False)
+    _max_order: int = field(default=0, repr=False)
 
     def add(self, entry: CatalogEntry) -> None:
         key = canonical_form(entry.graph)
@@ -194,8 +195,12 @@ class Catalog:
             )
         self._by_canon[key] = entry
         self.entries.append(entry)
+        self._max_order = max(self._max_order, entry.order)
 
     def lookup(self, g: Graph) -> Optional[CatalogEntry]:
+        """The entry isomorphic to g, else None; never canonizes a graph larger than every entry."""
+        if g.order > self._max_order:
+            return None
         return self._by_canon.get(canonical_form(g))
 
     def entries_of_order(self, n: int) -> list[CatalogEntry]:

@@ -123,9 +123,8 @@ def _cmd_solve(args) -> tuple[list[str], dict, int]:
     coloring = result.coloring if args.preserve_colors else renumber_colors(g, result.coloring)
     lines = [_digest_line(g), f"mvd = {result.value}", f"method: {result.method}"]
     report_blocks = []
-    if result.block_methods:
-        dec = decompose(g)
-        for i, (block, how) in enumerate(zip(dec.blocks, result.block_methods), start=1):
+    if result.decomposition is not None:
+        for i, (block, how) in enumerate(zip(result.decomposition.blocks, result.block_methods), start=1):
             labels = _sorted_block_labels(block.graph)
             lines.append(f"block {i} {{{', '.join(labels)}}}: {how}")
             report_blocks.append({"labels": labels, "method": how})

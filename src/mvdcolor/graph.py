@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 class GraphFormatError(ValueError):
@@ -118,22 +118,26 @@ class Graph:
         return (1 << self.order) - 1
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of a mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _reach_mask(g: Graph, start: int, allowed: int) -> int:
     """Bitmask of vertices reachable from start inside the allowed set."""
     if not (allowed >> start) & 1:
         return 0
-    seen = 1 << start
-    frontier = [start]
+    seen = frontier = 1 << start
     masks = g.adj_masks
     while frontier:
         nxt = 0
-        for v in frontier:
+        for v in _bits(frontier):
             nxt |= masks[v]
-        nxt &= allowed & ~seen
-        if not nxt:
-            break
-        seen |= nxt
-        frontier = [v for v in range(g.order) if (nxt >> v) & 1]
+        frontier = nxt & allowed & ~seen
+        seen |= frontier
     return seen
 
 

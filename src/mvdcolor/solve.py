@@ -15,9 +15,9 @@ from typing import Iterator, Mapping, Optional, Sequence
 
 from .blocks import Block, BlockDecomposition, decompose
 from .catalog import Catalog, is_minimally_two_connected
-from .graph import Graph, GuardError, _reach_mask, cycle_order, is_complete, is_connected, is_tree
+from .graph import Graph, GuardError, cycle_order, is_complete, is_connected, is_tree
 from .iso import find_isomorphism, transfer_coloring
-from .verify import color_count, is_mvd_coloring
+from .verify import _require_total, color_count, is_mvd_coloring, nonadjacent_pairs, partition_passes
 
 MAX_EXACT_ORDER = 11
 
@@ -28,14 +28,16 @@ class MvdResult:
 
     ``method`` is ``exact``, ``closed-form``, ``block-composed``, or
     ``counting-formula`` on top-level results and ``catalog`` on per-block
-    transfers; ``block_methods`` carries the per-block trail when the block
-    pipeline produced the result.
+    transfers; ``block_methods`` carries the per-block trail and
+    ``decomposition`` the blocks it refers to when the block pipeline produced
+    the result.
     """
 
     value: int
     coloring: dict[int, int]
     method: str
     block_methods: tuple[str, ...] = field(default=(), compare=False)
+    decomposition: Optional[BlockDecomposition] = field(default=None, compare=False, repr=False)
 
 
 def partitions_into_k_classes(n: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -65,47 +67,6 @@ def partitions_into_k_classes(n: int, k: int) -> Iterator[tuple[int, ...]]:
     yield from rec(1, 1)
 
 
-def _fast_pair_list(g: Graph) -> list[tuple[int, int]]:
-    return [
-        (x, y)
-        for x in range(g.order)
-        for y in range(x + 1, g.order)
-        if not g.has_edge(x, y)
-    ]
-
-
-def _is_mvd_assignment(
-    g: Graph,
-    colors: Sequence[int],
-    pairs: Sequence[tuple[int, int]],
-    reach_memo: dict[tuple[int, int], int],
-) -> bool:
-    """Fast verdict for the solver's hot loop (bitmask classes, memoized reach).
-
-    Semantically identical to is_mvd_coloring; the equivalence is pinned by
-    tests.
-    """
-    class_masks: dict[int, int] = {}
-    for v, c in enumerate(colors):
-        class_masks[c] = class_masks.get(c, 0) | (1 << v)
-    full = g.full_mask()
-    masks = list(class_masks.values())
-    for x, y in pairs:
-        pair_mask = (1 << x) | (1 << y)
-        for cmask in masks:
-            allowed = full & ~(cmask & ~pair_mask)
-            key = (x, allowed)
-            reach = reach_memo.get(key)
-            if reach is None:
-                reach = _reach_mask(g, x, allowed)
-                reach_memo[key] = reach
-            if not (reach >> y) & 1:
-                break
-        else:
-            return False
-    return True
-
-
 def mvd_exact(g: Graph) -> MvdResult:
     """Maximum class count over all passing partitions, by descending search.
 
@@ -125,11 +86,11 @@ def mvd_exact(g: Graph) -> MvdResult:
     start = n
     if n >= 4 and is_minimally_two_connected(g):
         start = n // 2
-    pairs = _fast_pair_list(g)
-    reach_memo: dict[tuple[int, int], int] = {}
+    pairs = nonadjacent_pairs(g)
+    views: dict[int, list[int]] = {}
     for k in range(start, 0, -1):
         for colors in partitions_into_k_classes(n, k):
-            if _is_mvd_assignment(g, colors, pairs, reach_memo):
+            if partition_passes(g, colors, pairs, views):
                 return MvdResult(k, {v: colors[v] for v in range(n)}, "exact")
     raise AssertionError("unreachable: the single-class coloring always passes")
 
@@ -196,30 +157,24 @@ def _block_cut_tree_order(g: Graph, dec: BlockDecomposition) -> list[tuple[int, 
 def stitch_colorings(
     g: Graph, dec: BlockDecomposition, per_block: Sequence[Mapping[int, int]]
 ) -> dict[int, int]:
-    """Merge verified per-block colorings into one global coloring.
+    """Merge per-block colorings into one global coloring, verified per block.
 
     Each block keeps its class structure up to renaming; the class of the
     shared cut vertex is renamed to that vertex's fixed global color and every
     other class receives a fresh color, allocated consecutively in processing
     order.  The result uses exactly (sum of per-block color counts) - r + 1
-    colors.
+    colors.  Each block is checked once, on the restriction of the stitched
+    coloring, which catches a bad block coloring and a stitching fault alike;
+    by the block lemma (see ``verify``) the result then passes on g.
     """
     if len(per_block) != dec.r:
         raise ValueError(f"expected {dec.r} block colorings, got {len(per_block)}")
-    for block, coloring in zip(dec.blocks, per_block):
-        verdict = is_mvd_coloring(block.graph, coloring)
-        if not verdict.ok:
-            x, y = verdict.witness  # type: ignore[misc]
-            raise ValueError(
-                "block coloring fails verification on block "
-                f"{{{', '.join(sorted(block.graph.labels))}}}: "
-                f"no monochromatic cut for {block.graph.labels[x]!r},{block.graph.labels[y]!r}"
-            )
     global_coloring: dict[int, int] = {}
     next_color = 1
     for b, entry_cut in _block_cut_tree_order(g, dec):
         block = dec.blocks[b]
         local = per_block[b]
+        _require_total(block.graph, local)
         rename: dict[int, int] = {}
         if entry_cut is not None:
             local_cut = block.vertices.index(entry_cut)
@@ -230,6 +185,15 @@ def stitch_colorings(
                 next_color += 1
         for local_v, parent_v in enumerate(block.vertices):
             global_coloring[parent_v] = rename[local[local_v]]
+    for block in dec.blocks:
+        verdict = is_mvd_coloring(block.graph, {i: global_coloring[v] for i, v in enumerate(block.vertices)})
+        if not verdict.ok:
+            x, y = verdict.witness  # type: ignore[misc]
+            raise ValueError(
+                "block coloring fails verification on block "
+                f"{{{', '.join(sorted(block.graph.labels))}}}: "
+                f"no monochromatic cut for {block.graph.labels[x]!r},{block.graph.labels[y]!r}"
+            )
     return global_coloring
 
 
@@ -266,9 +230,9 @@ def solve_block(block: Block, catalog: Optional[Catalog]) -> tuple[MvdResult, st
 def mvd_via_blocks(g: Graph, catalog: Optional[Catalog] = None) -> MvdResult:
     """Decompose, solve per block, stitch, and compose.
 
-    The result's coloring passes verification, uses exactly ``value`` colors,
-    and the value agrees with the counting formula whenever every block value
-    lies in 2..5.
+    The result's coloring passes verification on every block, hence on g, uses
+    exactly ``value`` colors, and the value agrees with the counting formula
+    whenever every block value lies in 2..5.
     """
     if g.order < 2:
         raise ValueError("mvd is defined for graphs of order >= 2")
@@ -289,10 +253,7 @@ def mvd_via_blocks(g: Graph, catalog: Optional[Catalog] = None) -> MvdResult:
     coloring = stitch_colorings(g, dec, [res.coloring for res in solved])
     if color_count(coloring) != value:
         raise AssertionError("stitched coloring does not use the composed number of colors")
-    verdict = is_mvd_coloring(g, coloring)
-    if not verdict.ok:
-        raise AssertionError("stitched coloring failed verification")
-    return MvdResult(value, coloring, "block-composed", block_methods=tuple(trail))
+    return MvdResult(value, coloring, "block-composed", block_methods=tuple(trail), decomposition=dec)
 
 
 def solve_auto(g: Graph, catalog: Optional[Catalog] = None) -> MvdResult:

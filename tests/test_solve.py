@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -11,6 +12,7 @@ from mvdcolor.graph import (
     GuardError,
     complete_graph,
     cycle_graph,
+    default_labels,
     load_graph,
     path_graph,
     star_graph,
@@ -26,7 +28,7 @@ from mvdcolor.solve import (
     stitch_colorings,
 )
 from mvdcolor.verify import color_count, is_mvd_coloring, restrict
-from builders import attach_blocks, random_connected_graph, random_tree
+from builders import attach_blocks, random_cactus, random_connected_graph, random_tree
 from oracles import all_set_partitions, oracle_is_mvd
 
 
@@ -91,13 +93,13 @@ def test_exact_matches_independent_oracle():
 
 
 def test_fast_assignment_check_matches_public_verifier():
-    from mvdcolor.solve import _fast_pair_list, _is_mvd_assignment
+    from mvdcolor.verify import nonadjacent_pairs, partition_passes
 
     rng = random.Random(59)
     for trial in range(80):
         g = random_connected_graph(rng, rng.randint(2, 7))
         colors = tuple(rng.randint(1, 3) for _ in range(g.order))
-        fast = _is_mvd_assignment(g, colors, _fast_pair_list(g), {})
+        fast = partition_passes(g, colors, nonadjacent_pairs(g), {})
         slow = is_mvd_coloring(g, {v: colors[v] for v in range(g.order)}).ok
         assert fast == slow
 
@@ -255,6 +257,34 @@ def test_via_blocks_agrees_with_exact_on_random_graphs():
         assert blockwise.value == exact.value
         assert is_mvd_coloring(g, blockwise.coloring).ok
         assert is_mvd_coloring(g, exact.coloring).ok
+
+
+def test_catalog_is_skipped_for_blocks_larger_than_its_entries(data_dir):
+    # C14 with a pendant edge: the block C14 is beyond the canonical-form guard
+    catalog = load_catalog(str(data_dir / "typeset9"))
+    g = Graph.from_edges(default_labels(15), [(i, (i + 1) % 14) for i in range(14)] + [(0, 14)])
+    assert catalog.lookup(cycle_graph(14)) is None
+    assert mvd_via_blocks(g, catalog).value == mvd_via_blocks(g).value == 8
+
+
+def test_block_solve_scales_to_long_paths_and_cacti():
+    cactus = random_cactus(random.Random(30), 30)
+    blocks = decompose(cactus).blocks
+    cactus_value = sum(2 if b.trivial else b.graph.order // 2 for b in blocks) - len(blocks) + 1
+    budget = 1.0
+    for name, g, want in (("P100", path_graph(100), 100), ("30-block cactus", cactus, cactus_value)):
+        t0 = time.time()
+        res = mvd_via_blocks(g)
+        elapsed = time.time() - t0
+        ok = elapsed < budget
+        line = (
+            f"scale {name}: {'PASS' if ok else 'FAIL (over budget)'} "
+            f"(n={g.order}, value {res.value}; {elapsed:.2f}s of {budget:.0f}s budget)"
+        )
+        print(line)
+        assert res.value == want
+        assert is_mvd_coloring(g, res.coloring).ok
+        assert ok, line
 
 
 def test_via_blocks_guard_names_the_block():

@@ -4,9 +4,13 @@ import random
 
 import pytest
 
+from mvdcolor.blocks import decompose
+from mvdcolor.catalog import theta_graph
 from mvdcolor.graph import (
+    Graph,
     complete_graph,
     cycle_graph,
+    default_labels,
     induced_subgraph,
     is_connected,
     load_graph,
@@ -20,7 +24,7 @@ from mvdcolor.verify import (
     monochromatic_cut_exists,
     restrict,
 )
-from builders import random_connected_graph, random_tree
+from builders import attach_blocks, random_connected_graph, random_tree
 from oracles import oracle_is_mvd, oracle_monochromatic_cut_colors
 
 
@@ -165,3 +169,51 @@ def test_trees_with_distinct_colors_pass():
     for n in range(2, 9):
         tree = random_tree(rng, n)
         assert is_mvd_coloring(tree, {v: v + 1 for v in range(n)}).ok
+
+
+def test_verdict_witness_and_certificates_match_the_oracle_exactly():
+    # witness: least failing pair by label; certificate: least separating color
+    rng = random.Random(2112)
+    for trial in range(150):
+        n = rng.randint(2, 8)
+        base = random_connected_graph(rng, n)
+        g = Graph(tuple(rng.sample(default_labels(n), n)), base.neighbors)
+        coloring = {v: rng.randint(1, rng.randint(1, n)) for v in range(n)}
+        by_label = sorted(range(n), key=lambda v: g.labels[v])
+        witness = None
+        certificate = {}
+        for i, x in enumerate(by_label):
+            for y in by_label[i + 1:]:
+                if g.has_edge(x, y):
+                    continue
+                colors = oracle_monochromatic_cut_colors(g, coloring, x, y)
+                if not colors:
+                    witness = (x, y)
+                    break
+                certificate[(x, y)] = min(colors)
+            if witness is not None:
+                break
+        verdict = is_mvd_coloring(g, coloring)
+        assert verdict.ok == oracle_is_mvd(g, coloring) == (witness is None)
+        assert verdict.witness == witness
+        assert verdict.certificate == (certificate if witness is None else None)
+
+
+def test_block_lemma_verdict_is_the_conjunction_over_blocks():
+    rng = random.Random(1729)
+    templates = [
+        path_graph(2), cycle_graph(4), cycle_graph(5), complete_graph(4),
+        theta_graph([1, 1, 1]), theta_graph([2, 1, 1]),
+    ]
+    seen = set()
+    for trial in range(150):
+        g = attach_blocks(rng, templates, rng.randint(2, 5))
+        coloring = {v: rng.randint(1, rng.randint(1, 4)) for v in range(g.order)}
+        per_block = [
+            is_mvd_coloring(b.graph, {i: coloring[v] for i, v in enumerate(b.vertices)}).ok
+            for b in decompose(g).blocks
+        ]
+        verdict = is_mvd_coloring(g, coloring).ok
+        assert verdict == all(per_block)
+        seen.add(verdict)
+    assert seen == {True, False}
