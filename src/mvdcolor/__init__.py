@@ -16,7 +16,7 @@ from .analysis import (
     classify,
     triangle_blocks_value,
 )
-from .blocks import Block, BlockDecomposition, DfsRecord, decompose, naive_cut_vertices
+from .blocks import Block, BlockDecomposition, decompose
 from .catalog import (
     Catalog,
     CatalogEntry,
@@ -38,13 +38,9 @@ from .graph import (
     format_matrix,
     induced_subgraph,
     is_connected,
-    is_k_connected,
     load_graph,
     parse_matrix,
     path_graph,
-    remove_vertices,
-    separates,
-    simplify,
     star_graph,
     to_dot,
 )
@@ -68,7 +64,6 @@ __all__ = [
     "CatalogEntry",
     "CatalogError",
     "ClassificationResult",
-    "DfsRecord",
     "GateError",
     "Graph",
     "GraphFormatError",
@@ -89,7 +84,6 @@ __all__ = [
     "generate_minimal_blocks",
     "induced_subgraph",
     "is_connected",
-    "is_k_connected",
     "is_minimally_two_connected",
     "is_mvd_coloring",
     "load_catalog",
@@ -99,14 +93,10 @@ __all__ = [
     "mvd_compose",
     "mvd_exact",
     "mvd_via_blocks",
-    "naive_cut_vertices",
     "parse_matrix",
     "path_graph",
-    "remove_vertices",
     "restrict",
     "save_catalog",
-    "separates",
-    "simplify",
     "star_graph",
     "stitch_colorings",
     "theta_graph",

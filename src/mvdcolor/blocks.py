@@ -11,16 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .graph import Graph, induced_subgraph, is_connected, remove_vertices
-
-
-@dataclass(frozen=True)
-class DfsRecord:
-    """Discovery number (>= 1), low-link value, and tree parent of one vertex."""
-
-    dfs_number: int
-    low: int
-    parent: Optional[int]
+from .graph import Graph, induced_subgraph, is_connected
 
 
 @dataclass(frozen=True)
@@ -33,9 +24,6 @@ class Block:
     @property
     def trivial(self) -> bool:
         return self.graph.order == 2
-
-    def vertex_set(self) -> frozenset[int]:
-        return frozenset(self.vertices)
 
 
 @dataclass(frozen=True)
@@ -51,12 +39,10 @@ class BlockDecomposition:
     def t(self) -> int:
         return sum(1 for b in self.blocks if b.trivial)
 
-    def blocks_containing(self, v: int) -> list[int]:
-        return [i for i, b in enumerate(self.blocks) if v in b.vertex_set()]
 
-
-def _dfs_engine(g: Graph, root: int) -> tuple[list[int], list[int], list[Optional[int]], list[list[int]], set[int]]:
-    n = g.order
+def _dfs_engine(neighbors: Sequence[Sequence[int]], root: int) -> tuple[list[list[int]], set[int]]:
+    """Blocks (as vertex lists) and cut vertices of the root's component."""
+    n = len(neighbors)
     dfs = [0] * n
     low = [0] * n
     parent: list[Optional[int]] = [None] * n
@@ -67,7 +53,7 @@ def _dfs_engine(g: Graph, root: int) -> tuple[list[int], list[int], list[Optiona
     cuts: set[int] = set()
 
     def next_unexplored(v: int) -> Optional[int]:
-        nbrs = g.neighbors[v]
+        nbrs = neighbors[v]
         while ptr[v] < len(nbrs):
             w = nbrs[ptr[v]]
             if (min(v, w), max(v, w)) in explored:
@@ -112,7 +98,7 @@ def _dfs_engine(g: Graph, root: int) -> tuple[list[int], list[int], list[Optiona
             else:
                 low[p] = min(low[p], low[v])
             v = p
-    return dfs, low, parent, blocks, cuts
+    return blocks, cuts
 
 
 def decompose(g: Graph) -> BlockDecomposition:
@@ -121,36 +107,7 @@ def decompose(g: Graph) -> BlockDecomposition:
         raise ValueError("block decomposition needs at least 2 vertices")
     if not is_connected(g):
         raise ValueError("block decomposition needs a connected graph")
-    _, _, _, raw_blocks, cuts = _dfs_engine(g, root=0)
+    raw_blocks, cuts = _dfs_engine(g.neighbors, root=0)
     blocks = tuple(Block(tuple(vs), induced_subgraph(g, vs)) for vs in raw_blocks)
     return BlockDecomposition(blocks, frozenset(cuts))
 
-
-def dfs_records(g: Graph, root: int = 0) -> list[DfsRecord]:
-    """Final DFS table (discovery numbers, low links, parents) from the root."""
-    if g.order < 1:
-        raise ValueError("empty graph has no DFS records")
-    if not is_connected(g):
-        raise ValueError("DFS table requires a connected graph")
-    dfs, low, parent, _, _ = _dfs_engine(g, root)
-    return [DfsRecord(dfs[v], low[v], parent[v]) for v in range(g.order)]
-
-
-def is_cut_vertex_by_lowlink(records: Sequence[DfsRecord], v: int) -> bool:
-    """Low-link cut-vertex criterion applied to a completed DFS table.
-
-    The root is a cut vertex iff it has two or more tree children; any other
-    vertex is one iff some tree child's low value reaches its own discovery
-    number.
-    """
-    children = [w for w, rec in enumerate(records) if rec.parent == v]
-    if records[v].dfs_number == 1:
-        return len(children) >= 2
-    return any(records[w].low >= records[v].dfs_number for w in children)
-
-
-def naive_cut_vertices(g: Graph) -> frozenset[int]:
-    """Definition-based oracle: v is a cut vertex iff g - v is disconnected."""
-    if g.order < 3 or not is_connected(g):
-        raise ValueError("cut-vertex oracle needs a connected graph of order >= 3")
-    return frozenset(v for v in range(g.order) if not is_connected(remove_vertices(g, [v])))

@@ -16,14 +16,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
-from .graph import (
-    Graph,
-    default_labels,
-    format_matrix,
-    is_k_connected,
-    parse_matrix,
-    remove_edge,
-)
+from .blocks import _dfs_engine
+from .graph import Graph, cycle_graph, default_labels, format_matrix, parse_matrix
 from .iso import canonical_form
 from .verify import color_count, is_mvd_coloring
 
@@ -93,10 +87,26 @@ def theta_graph(spec: ThetaSpec) -> Graph:
 
 
 def is_minimally_two_connected(g: Graph) -> bool:
-    """2-connected, and every single edge removal destroys 2-connectivity."""
-    if not is_k_connected(g, 2):
+    """2-connected, and every single edge removal destroys 2-connectivity.
+
+    g is 2-connected iff the block search finds one block covering all of its
+    n >= 3 vertices.  Dropping an edge leaves a 2-connected graph connected,
+    so the edge is needed iff the search then finds more than one block.
+    """
+    if g.order < 3:
         return False
-    return all(not is_k_connected(remove_edge(g, u, v), 2) for u, v in g.edges())
+    blocks, _ = _dfs_engine(g.neighbors, root=0)
+    if len(blocks) != 1 or len(blocks[0]) != g.order:
+        return False
+    neighbors = list(g.neighbors)
+    for u, v in g.edges():
+        neighbors[u] = tuple(w for w in g.neighbors[u] if w != v)
+        neighbors[v] = tuple(w for w in g.neighbors[v] if w != u)
+        blocks, _ = _dfs_engine(neighbors, root=0)
+        if len(blocks) == 1:
+            return False
+        neighbors[u], neighbors[v] = g.neighbors[u], g.neighbors[v]
+    return True
 
 
 def triangle_free(g: Graph) -> bool:
@@ -125,10 +135,6 @@ def _ear_extensions(g: Graph, internal: int) -> Iterable[Graph]:
         yield Graph.from_edges(labels, edges)
 
 
-def _cycle(n: int) -> Graph:
-    return Graph.from_edges(default_labels(n), [(i, (i + 1) % n) for i in range(n)])
-
-
 def generate_minimal_blocks_up_to(max_order: int) -> dict[int, list[Graph]]:
     """Minimal blocks of every order 3..max_order, canonical-key sorted."""
     if not GENERATION_MIN_ORDER <= max_order <= GENERATION_MAX_ORDER:
@@ -139,7 +145,7 @@ def generate_minimal_blocks_up_to(max_order: int) -> dict[int, list[Graph]]:
         n: {} for n in range(GENERATION_MIN_ORDER, max_order + 1)
     }
     for n in range(GENERATION_MIN_ORDER, max_order + 1):
-        cyc = _cycle(n)
+        cyc = cycle_graph(n)
         levels[n][canonical_form(cyc)] = cyc
     for n in range(GENERATION_MIN_ORDER, max_order + 1):
         for smaller in range(GENERATION_MIN_ORDER, n):

@@ -29,7 +29,7 @@ from .graph import (
 )
 from .iso import find_isomorphism
 from .solve import MvdResult, mvd_exact, mvd_via_blocks, solve_auto
-from .verify import is_mvd_coloring
+from .verify import failing_block, is_mvd_coloring
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -117,8 +117,8 @@ def _solve_result(g: Graph, method: str, catalog_dir: Optional[str]) -> MvdResul
 def _cmd_solve(args) -> tuple[list[str], dict, int]:
     g, _ = load_graph(args.graph)
     result = _solve_result(g, args.method, args.catalog)
-    verdict = is_mvd_coloring(g, result.coloring)
-    if not verdict.ok:
+    dec = result.decomposition if result.decomposition is not None else decompose(g)
+    if failing_block(dec.blocks, result.coloring) is not None:
         raise AssertionError("solver returned a coloring that fails verification")
     coloring = result.coloring if args.preserve_colors else renumber_colors(g, result.coloring)
     lines = [_digest_line(g), f"mvd = {result.value}", f"method: {result.method}"]

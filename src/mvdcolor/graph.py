@@ -167,54 +167,6 @@ def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
     return Graph.from_edges([g.labels[v] for v in vertices], edges)
 
 
-def remove_vertices(g: Graph, drop: Iterable[int]) -> Graph:
-    """Induced subgraph on the complement of ``drop`` (index order preserved)."""
-    dropped = set(drop)
-    keep = [v for v in range(g.order) if v not in dropped]
-    if not keep:
-        raise ValueError("cannot remove every vertex")
-    return induced_subgraph(g, keep)
-
-
-def remove_edge(g: Graph, u: int, v: int) -> Graph:
-    if not g.has_edge(u, v):
-        raise ValueError(f"no edge between {g.labels[u]!r} and {g.labels[v]!r}")
-    return Graph.from_edges(g.labels, [e for e in g.edges() if e != (min(u, v), max(u, v))])
-
-
-def separates(g: Graph, cut: Iterable[int], x: int, y: int) -> bool:
-    """True iff x and y lie in different components of g minus the cut set."""
-    cut_mask = 0
-    for v in cut:
-        cut_mask |= 1 << v
-    if x == y:
-        raise ValueError("separation of a vertex from itself is undefined")
-    if (cut_mask >> x) & 1 or (cut_mask >> y) & 1:
-        raise ValueError("cut set must avoid the pair")
-    allowed = g.full_mask() & ~cut_mask
-    return not (_reach_mask(g, x, allowed) >> y) & 1
-
-
-def is_k_connected(g: Graph, k: int) -> bool:
-    """Exhaustive-separator k-connectivity test (meant for desk-scale graphs).
-
-    True iff the order exceeds k and no vertex set of fewer than k vertices
-    disconnects the graph; complete graphs come out (n-1)-connected.
-    """
-    if k < 1:
-        raise ValueError("k must be positive")
-    n = g.order
-    if n <= k:
-        return False
-    if not is_connected(g):
-        return False
-    for size in range(1, k):
-        for subset in itertools.combinations(range(n), size):
-            if not is_connected(remove_vertices(g, subset)):
-                return False
-    return True
-
-
 def is_tree(g: Graph) -> bool:
     return g.order >= 1 and g.size == g.order - 1 and is_connected(g)
 
@@ -332,9 +284,10 @@ def format_matrix(g: Graph, coloring: Optional[dict[int, int]] = None) -> str:
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse the edge-list format: ``n <count>``, then ``labelU labelV`` lines.
+    """Parse the edge-list format: ``n <count>``, then one line per edge or vertex.
 
-    Isolated vertices are declared with ``v <label>`` lines.
+    A line of two labels is an edge; a line of one label declares that vertex,
+    which is how isolated vertices are written.
     """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
@@ -350,7 +303,7 @@ def parse_edge_list(text: str) -> Graph:
     labels: list[str] = []
     index: dict[str, int] = {}
 
-    def intern(lab: str, lineno: int) -> int:
+    def intern(lab: str) -> int:
         if lab not in index:
             index[lab] = len(labels)
             labels.append(lab)
@@ -358,14 +311,12 @@ def parse_edge_list(text: str) -> Graph:
 
     edges: list[tuple[int, int]] = []
     for lineno, ln in enumerate(lines[1:], start=2):
-        parts = ln.split()
-        if parts[0] == "v" and len(parts) == 2:
-            intern(parts[1], lineno)
+        parts = [intern(lab) for lab in ln.split()]
+        if len(parts) == 1:
             continue
         if len(parts) != 2:
-            raise GraphFormatError("expected 'labelU labelV' or 'v <label>'", line=lineno)
-        u = intern(parts[0], lineno)
-        v = intern(parts[1], lineno)
+            raise GraphFormatError("expected 'labelU labelV' or a single label", line=lineno)
+        u, v = parts
         if u == v:
             raise GraphFormatError("self-loop", line=lineno)
         edges.append((u, v))
@@ -375,15 +326,10 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def format_edge_list(g: Graph) -> str:
+    """Serialize to the edge-list format (inverse of parse_edge_list)."""
     out = [f"n {g.order}"]
-    covered = set()
-    for u, v in g.edges():
-        out.append(f"{g.labels[u]} {g.labels[v]}")
-        covered.add(u)
-        covered.add(v)
-    for v in range(g.order):
-        if v not in covered:
-            out.append(f"v {g.labels[v]}")
+    out.extend(f"{g.labels[u]} {g.labels[v]}" for u, v in g.edges())
+    out.extend(g.labels[v] for v in range(g.order) if not g.neighbors[v])
     return "\n".join(out) + "\n"
 
 
@@ -423,25 +369,6 @@ def load_graph(path: str) -> tuple[Graph, Optional[dict[int, int]]]:
     if first.startswith("n ") or first.startswith("n\t"):
         return parse_edge_list(text), None
     return parse_matrix(text)
-
-
-def simplify(multi_adjacency: Sequence[Sequence[int]], labels: Optional[Sequence[str]] = None) -> Graph:
-    """Underlying simple graph of a loop-free multigraph given as multiplicities."""
-    n = len(multi_adjacency)
-    for i, row in enumerate(multi_adjacency):
-        if len(row) != n:
-            raise ValueError("multiplicity matrix must be square")
-        if row[i] != 0:
-            raise ValueError(f"nonzero diagonal at index {i}")
-        for j in range(n):
-            if row[j] < 0:
-                raise ValueError("multiplicities must be nonnegative")
-            if multi_adjacency[j][i] != row[j]:
-                raise ValueError("multiplicity matrix must be symmetric")
-    if labels is None:
-        labels = default_labels(n)
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if multi_adjacency[i][j] >= 1]
-    return Graph.from_edges(labels, edges)
 
 
 # ---------------------------------------------------------------------------

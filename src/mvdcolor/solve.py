@@ -17,7 +17,7 @@ from .blocks import Block, BlockDecomposition, decompose
 from .catalog import Catalog, is_minimally_two_connected
 from .graph import Graph, GuardError, cycle_order, is_complete, is_connected, is_tree
 from .iso import find_isomorphism, transfer_coloring
-from .verify import _require_total, color_count, is_mvd_coloring, nonadjacent_pairs, partition_passes
+from .verify import _require_total, color_count, failing_block, nonadjacent_pairs, partition_passes
 
 MAX_EXACT_ORDER = 11
 
@@ -137,18 +137,19 @@ def _block_cut_tree_order(g: Graph, dec: BlockDecomposition) -> list[tuple[int, 
     Processing in this order guarantees each non-root block sees exactly one
     already-colored vertex: the cut vertex it was reached through.
     """
-    by_cut: dict[int, list[int]] = {c: dec.blocks_containing(c) for c in dec.cut_vertices}
+    by_cut: dict[int, list[int]] = {c: [] for c in dec.cut_vertices}
+    for i, block in enumerate(dec.blocks):
+        for v in block.vertices:
+            if v in by_cut:
+                by_cut[v].append(i)
     seen_blocks = {0}
     order: list[tuple[int, Optional[int]]] = [(0, None)]
-    queue = [0]
-    while queue:
-        b = queue.pop(0)
-        for c in sorted(dec.cut_vertices & dec.blocks[b].vertex_set()):
+    for b, _ in order:  # the order list doubles as the BFS queue
+        for c in sorted(v for v in dec.blocks[b].vertices if v in by_cut):
             for nb in by_cut[c]:
                 if nb not in seen_blocks:
                     seen_blocks.add(nb)
                     order.append((nb, c))
-                    queue.append(nb)
     if len(order) != dec.r:
         raise ValueError("block-cut tree is not connected; is the graph connected?")
     return order
@@ -185,15 +186,14 @@ def stitch_colorings(
                 next_color += 1
         for local_v, parent_v in enumerate(block.vertices):
             global_coloring[parent_v] = rename[local[local_v]]
-    for block in dec.blocks:
-        verdict = is_mvd_coloring(block.graph, {i: global_coloring[v] for i, v in enumerate(block.vertices)})
-        if not verdict.ok:
-            x, y = verdict.witness  # type: ignore[misc]
-            raise ValueError(
-                "block coloring fails verification on block "
-                f"{{{', '.join(sorted(block.graph.labels))}}}: "
-                f"no monochromatic cut for {block.graph.labels[x]!r},{block.graph.labels[y]!r}"
-            )
+    failed = failing_block(dec.blocks, global_coloring)
+    if failed is not None:
+        block, (x, y) = failed
+        raise ValueError(
+            "block coloring fails verification on block "
+            f"{{{', '.join(sorted(block.graph.labels))}}}: "
+            f"no monochromatic cut for {block.graph.labels[x]!r},{block.graph.labels[y]!r}"
+        )
     return global_coloring
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
+from .blocks import Block
 from .graph import Graph, _bits, _reach_mask, is_connected
 
 
@@ -134,6 +135,18 @@ def is_mvd_coloring(g: Graph, coloring: Mapping[int, int]) -> MvdVerdict:
             return MvdVerdict(ok=False, witness=(x, y), certificate=None)
         certificate[(x, y)] = color
     return MvdVerdict(ok=True, witness=None, certificate=certificate)
+
+
+def failing_block(
+    blocks: Iterable[Block], coloring: Mapping[int, int]
+) -> Optional[tuple[Block, tuple[int, int]]]:
+    """First block on which the restricted coloring fails, with its witness in
+    block-local indices; None means, by the block lemma, a pass on the graph."""
+    for block in blocks:
+        verdict = is_mvd_coloring(block.graph, {i: coloring[v] for i, v in enumerate(block.vertices)})
+        if not verdict.ok:
+            return block, verdict.witness  # type: ignore[return-value]
+    return None
 
 
 def partition_passes(

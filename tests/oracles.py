@@ -41,6 +41,28 @@ def oracle_separates(g: Graph, cut: set[int], x: int, y: int) -> bool:
     return False
 
 
+def naive_cut_vertices(g: Graph) -> frozenset[int]:
+    """Definition-based: v is a cut vertex iff g - v is disconnected."""
+    if g.order < 3 or len(components(g, set())) != 1:
+        raise ValueError("cut-vertex oracle needs a connected graph of order >= 3")
+    return frozenset(v for v in range(g.order) if len(components(g, {v})) > 1)
+
+
+def oracle_is_two_connected(g: Graph) -> bool:
+    """Order >= 3, connected, and no single vertex removal disconnects."""
+    return g.order >= 3 and len(components(g, set())) == 1 and not naive_cut_vertices(g)
+
+
+def oracle_is_minimally_two_connected(g: Graph) -> bool:
+    """2-connected, and no single edge can be removed keeping 2-connectivity."""
+    if not oracle_is_two_connected(g):
+        return False
+    edges = g.edges()
+    return not any(
+        oracle_is_two_connected(Graph.from_edges(g.labels, [f for f in edges if f != e])) for e in edges
+    )
+
+
 def oracle_monochromatic_cut_colors(g: Graph, coloring: dict[int, int], x: int, y: int) -> set[int]:
     """Colors of every monochromatic vertex cut separating x and y.
 

@@ -4,20 +4,11 @@ import random
 
 import pytest
 
-from mvdcolor.blocks import (
-    decompose,
-    dfs_records,
-    is_cut_vertex_by_lowlink,
-    naive_cut_vertices,
-)
-from mvdcolor.graph import (
-    cycle_graph,
-    is_k_connected,
-    load_graph,
-    path_graph,
-    star_graph,
-)
+from mvdcolor.blocks import decompose
+from mvdcolor.catalog import generate_minimal_blocks_up_to, is_minimally_two_connected, theta_graph
+from mvdcolor.graph import Graph, cycle_graph, load_graph, path_graph, star_graph
 from builders import random_connected_graph
+from oracles import naive_cut_vertices, oracle_is_two_connected
 
 
 @pytest.fixture(scope="module")
@@ -66,20 +57,15 @@ def test_decompose_rejects_bad_input():
         decompose(Graph.from_edges(["a", "b", "c", "d"], [(0, 1), (2, 3)]))
 
 
-def test_lowlink_cut_criterion(example17):
-    records = dfs_records(example17)
-    for v in range(example17.order):
-        expected = example17.labels[v] == "H"
-        assert is_cut_vertex_by_lowlink(records, v) == expected
-
-    c6 = cycle_graph(6)
-    rec6 = dfs_records(c6)
-    assert not any(is_cut_vertex_by_lowlink(rec6, v) for v in range(6))
-
-    star = star_graph(3)
-    rec_star = dfs_records(star)
-    assert is_cut_vertex_by_lowlink(rec_star, 0)
-    assert not any(is_cut_vertex_by_lowlink(rec_star, v) for v in range(1, 4))
+def test_lowlink_cut_criterion():
+    # the DFS root (vertex 0) is a cut vertex iff it has two or more tree
+    # children; any other vertex iff some child's low link reaches its number
+    assert decompose(star_graph(3)).cut_vertices == frozenset({0})
+    assert decompose(Graph.from_edges(list("abcd"), [(1, 0), (1, 2), (1, 3)])).cut_vertices == frozenset({1})
+    assert decompose(path_graph(3)).cut_vertices == frozenset({1})
+    assert not decompose(cycle_graph(6)).cut_vertices
+    bowtie = Graph.from_edges(list("abcde"), [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)])
+    assert decompose(bowtie).cut_vertices == frozenset({0})
 
 
 def test_naive_cut_vertices(example17):
@@ -95,9 +81,6 @@ def test_decompose_agrees_with_naive_on_random_sample():
         g = random_connected_graph(rng, n)
         dec = decompose(g)
         assert dec.cut_vertices == naive_cut_vertices(g), g
-        records = dfs_records(g)
-        by_lowlink = {v for v in range(n) if is_cut_vertex_by_lowlink(records, v)}
-        assert by_lowlink == dec.cut_vertices
 
 
 def test_structural_invariants_on_random_sample():
@@ -126,11 +109,11 @@ def test_structural_invariants_on_random_sample():
             if b.trivial:
                 assert b.graph.order == 2 and b.graph.size == 1
             else:
-                assert is_k_connected(b.graph, 2)
+                assert oracle_is_two_connected(b.graph)
 
         # membership: in >= 2 blocks iff cut vertex
         for v in range(n):
-            count = len(dec.blocks_containing(v))
+            count = sum(1 for b in dec.blocks if v in b.vertices)
             assert (count >= 2) == (v in dec.cut_vertices)
 
 
@@ -139,3 +122,32 @@ def test_long_path_does_not_overflow():
     g = path_graph(3000)
     dec = decompose(g)
     assert dec.r == 2999 and len(dec.cut_vertices) == 2998
+
+
+def test_cut_vertices_blocks_and_minimality_match_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(2024)
+    graphs = [random_connected_graph(rng, rng.randint(2, 12)) for _ in range(150)]
+    census = [g for gs in generate_minimal_blocks_up_to(8).values() for g in gs]
+    for _ in range(100):
+        spec = [rng.randint(0, 3) for _ in range(rng.randint(1, 5))]
+        if sum(spec) and spec.count(0) <= 1 and 2 + sum(spec) <= 12:
+            graphs.append(theta_graph(spec))
+        base = rng.choice(census)
+        u, v = rng.sample(range(base.order), 2)
+        graphs.append(Graph.from_edges(base.labels, base.edges() + [(u, v)]))
+    minimal_seen = 0
+    for g in graphs + census:
+        h = nx.Graph(g.edges())
+        h.add_nodes_from(range(g.order))
+        dec = decompose(g)
+        assert dec.cut_vertices == set(nx.articulation_points(h)), g
+        assert sorted(sorted(b.vertices) for b in dec.blocks) == sorted(
+            sorted(c) for c in nx.biconnected_components(h)
+        ), g
+        expected = g.order >= 3 and nx.is_biconnected(h) and not any(
+            nx.is_biconnected(nx.restricted_view(h, [], [e])) for e in h.edges()
+        )
+        assert is_minimally_two_connected(g) == expected, g
+        minimal_seen += expected
+    assert minimal_seen > len(census)

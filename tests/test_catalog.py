@@ -23,7 +23,7 @@ from mvdcolor.catalog import (
 from mvdcolor.graph import Graph, complete_graph, cycle_graph, default_labels, induced_subgraph
 from mvdcolor.iso import canonical_form, find_isomorphism
 from mvdcolor.solve import mvd_exact
-from oracles import graphs_of_order
+from oracles import graphs_of_order, oracle_is_minimally_two_connected
 
 
 def keyset(graphs):
@@ -84,17 +84,22 @@ def test_generated_blocks_are_triangle_free_from_order_4():
 
 
 def test_generation_matches_labeled_brute_force_up_to_6():
-    for n in range(3, 7):
-        expected = {
-            canonical_form(g) for g in graphs_of_order(n) if is_minimally_two_connected(g)
-        }
-        assert keyset(generate_minimal_blocks(n)) == expected
+    # every labelled graph of order <= 6 also pins the minimality predicate
+    for n in range(1, 7):
+        expected = set()
+        for g in graphs_of_order(n):
+            minimal = oracle_is_minimally_two_connected(g)
+            assert is_minimally_two_connected(g) == minimal, g
+            if minimal:
+                expected.add(canonical_form(g))
+        if n >= 3:
+            assert keyset(generate_minimal_blocks(n)) == expected
 
 
 @pytest.mark.slow
 def test_generation_matches_labeled_brute_force_at_7():
     expected = {
-        canonical_form(g) for g in graphs_of_order(7) if is_minimally_two_connected(g)
+        canonical_form(g) for g in graphs_of_order(7) if oracle_is_minimally_two_connected(g)
     }
     assert keyset(generate_minimal_blocks(7)) == expected
 

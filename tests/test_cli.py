@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -128,6 +129,23 @@ def test_edge_list_input_is_sniffed(tmp_path):
     proc = run_cli("decompose", str(path))
     assert proc.returncode == 0
     assert "cut vertices: c" in proc.stdout
+
+
+def test_solve_long_path_edge_list_within_budget(tmp_path):
+    from mvdcolor.graph import format_edge_list, path_graph
+
+    path = tmp_path / "p1000.txt"
+    path.write_text(format_edge_list(path_graph(1000)))
+    budget = 2.0
+    t0 = time.time()
+    proc = run_cli("solve", str(path))
+    elapsed = time.time() - t0
+    ok = elapsed < budget
+    line = f"solve P1000: {'PASS' if ok else 'FAIL (over budget)'} ({elapsed:.2f}s of {budget:.0f}s budget)"
+    print(line)
+    assert proc.returncode == 0, proc.stderr
+    assert "mvd = 1000" in proc.stdout
+    assert ok, line
 
 
 def test_iso_subcommand(tmp_path, data_dir):

@@ -16,7 +16,6 @@ from mvdcolor.graph import (
     load_graph,
     parse_coloring,
     path_graph,
-    separates,
 )
 from mvdcolor.verify import (
     color_count,
@@ -25,7 +24,7 @@ from mvdcolor.verify import (
     restrict,
 )
 from builders import attach_blocks, random_connected_graph, random_tree
-from oracles import oracle_is_mvd, oracle_monochromatic_cut_colors
+from oracles import oracle_is_mvd, oracle_monochromatic_cut_colors, oracle_separates
 
 
 def test_c4_alternating_pair_has_cut():
@@ -160,8 +159,8 @@ def test_certificates_are_sound():
         verdict = is_mvd_coloring(g, coloring)
         assert verdict.ok and verdict.certificate is not None
         for (x, y), color in verdict.certificate.items():
-            cls = [v for v, c in coloring.items() if c == color and v not in (x, y)]
-            assert separates(g, cls, x, y)
+            cls = {v for v, c in coloring.items() if c == color and v not in (x, y)}
+            assert oracle_separates(g, cls, x, y)
 
 
 def test_trees_with_distinct_colors_pass():
