@@ -41,35 +41,31 @@ class BlockDecomposition:
 
 
 def _dfs_engine(neighbors: Sequence[Sequence[int]], root: int) -> tuple[list[list[int]], set[int]]:
-    """Blocks (as vertex lists) and cut vertices of the root's component."""
+    """Blocks (as vertex lists) and cut vertices of the root's component.
+
+    Graphs are simple, so the only edge to skip is the one back to the parent;
+    any other edge to a discovered vertex reaches an ancestor or a descendant,
+    and only an ancestor can lower the low-link.  The root is a cut vertex iff
+    it has two or more DFS children.
+    """
     n = len(neighbors)
     dfs = [0] * n
     low = [0] * n
     parent: list[Optional[int]] = [None] * n
     ptr = [0] * n
-    explored: set[tuple[int, int]] = set()
     stack = [root]
     blocks: list[list[int]] = []
     cuts: set[int] = set()
-
-    def next_unexplored(v: int) -> Optional[int]:
-        nbrs = neighbors[v]
-        while ptr[v] < len(nbrs):
-            w = nbrs[ptr[v]]
-            if (min(v, w), max(v, w)) in explored:
-                ptr[v] += 1
-                continue
-            return w
-        return None
+    root_children = 0
 
     dfs[root] = 1
     low[root] = 1
     counter = 1
     v = root
     while True:
-        w = next_unexplored(v)
-        if w is not None:
-            explored.add((min(v, w), max(v, w)))
+        if ptr[v] < len(neighbors[v]):
+            w = neighbors[v][ptr[v]]
+            ptr[v] += 1
             if dfs[w] == 0:
                 stack.append(w)
                 parent[w] = v
@@ -77,15 +73,16 @@ def _dfs_engine(neighbors: Sequence[Sequence[int]], root: int) -> tuple[list[lis
                 dfs[w] = counter
                 low[w] = counter
                 v = w
-            else:
-                # edge to an already discovered vertex: an ancestor of v
+            elif w != parent[v]:
                 low[v] = min(low[v], dfs[w])
         else:
             p = parent[v]
             if p is None:
                 break
             if low[v] >= dfs[p]:
-                if p != root or next_unexplored(p) is not None:
+                if p == root:
+                    root_children += 1
+                else:
                     cuts.add(p)
                 popped = []
                 while True:
@@ -98,6 +95,8 @@ def _dfs_engine(neighbors: Sequence[Sequence[int]], root: int) -> tuple[list[lis
             else:
                 low[p] = min(low[p], low[v])
             v = p
+    if root_children >= 2:
+        cuts.add(root)
     return blocks, cuts
 
 

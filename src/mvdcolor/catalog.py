@@ -174,15 +174,10 @@ class CatalogEntry:
     graph: Graph
     mvd_value: int
     coloring: dict[int, int]
-    minimal: bool
 
     @property
     def order(self) -> int:
         return self.graph.order
-
-    @property
-    def extra(self) -> bool:
-        return not self.minimal
 
 
 @dataclass
@@ -251,7 +246,7 @@ def build_catalog(max_order: int, solver: Callable[[Graph], Any]) -> Catalog:
                 raise CatalogError(
                     f"solver value {value} for an order-{n} minimal block exceeds floor(n/2)"
                 )
-            entry = CatalogEntry(f"graph_{n}Vertex-{i}", g, value, coloring, minimal=True)
+            entry = CatalogEntry(f"graph_{n}Vertex-{i}", g, value, coloring)
             _check_entry(entry, entry.id)
             cat.add(entry)
     return cat
@@ -273,7 +268,7 @@ def load_catalog(directory: str) -> Catalog:
     """Read every entry file, re-verify, and index; errors name the file.
 
     An entry's value is the number of colors its stored coloring uses.
-    Non-minimal graphs load fine and are flagged as extra entries.
+    Entries need not be minimal blocks; any graph with a passing coloring loads.
     """
     cat = Catalog()
     names = sorted(
@@ -296,7 +291,6 @@ def load_catalog(directory: str) -> Catalog:
             graph=g,
             mvd_value=color_count(coloring),
             coloring=coloring,
-            minimal=is_minimally_two_connected(g),
         )
         try:
             _check_entry(entry, name)

@@ -89,11 +89,6 @@ class Graph:
             nbrs[v].add(u)
         return cls(tuple(labels), tuple(tuple(sorted(s)) for s in nbrs))
 
-    @classmethod
-    def from_label_edges(cls, labels: Sequence[str], edges: Iterable[tuple[str, str]]) -> "Graph":
-        idx = {lab: i for i, lab in enumerate(labels)}
-        return cls.from_edges(labels, [(idx[a], idx[b]) for a, b in edges])
-
     @property
     def order(self) -> int:
         return len(self.labels)

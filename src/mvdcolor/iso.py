@@ -71,36 +71,20 @@ def _twin_classes(g: Graph) -> list[int]:
     """Class id per vertex; twins (equal open or closed neighborhoods) share one.
 
     Swapping two twins is an automorphism, so the canonical search only needs
-    one representative per class at each branch point.
+    one representative per class at each branch point.  No vertex has both an
+    open twin (nonadjacent) and a closed twin (adjacent), so each class is the
+    first vertex with an equal open mask, else the first with an equal closed
+    mask.
     """
-    n = g.order
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    open_groups: dict[int, int] = {}
-    closed_groups: dict[int, int] = {}
-    for v in range(n):
-        nv = g.adj_masks[v]
-        if nv in open_groups:
-            union(open_groups[nv], v)
-        else:
-            open_groups[nv] = v
-        cv = nv | (1 << v)
-        if cv in closed_groups:
-            union(closed_groups[cv], v)
-        else:
-            closed_groups[cv] = v
-    return [find(v) for v in range(n)]
+    first_open: dict[int, int] = {}
+    first_closed: dict[int, int] = {}
+    classes = []
+    for v, mask in enumerate(g.adj_masks):
+        rep = first_open.setdefault(mask, v)
+        if rep == v:
+            rep = first_closed.setdefault(mask | (1 << v), v)
+        classes.append(rep)
+    return classes
 
 
 def canonical_form(g: Graph) -> str:

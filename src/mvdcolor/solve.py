@@ -26,11 +26,10 @@ MAX_EXACT_ORDER = 11
 class MvdResult:
     """A value, a certified coloring, and how it was obtained.
 
-    ``method`` is ``exact``, ``closed-form``, ``block-composed``, or
-    ``counting-formula`` on top-level results and ``catalog`` on per-block
-    transfers; ``block_methods`` carries the per-block trail and
-    ``decomposition`` the blocks it refers to when the block pipeline produced
-    the result.
+    ``method`` is ``exact``, ``closed-form`` or ``block-composed`` on
+    top-level results and ``catalog`` on per-block transfers;
+    ``block_methods`` carries the per-block trail and ``decomposition`` the
+    blocks it refers to when the block pipeline produced the result.
     """
 
     value: int
@@ -131,7 +130,7 @@ def counting_formula(dec: BlockDecomposition, block_values: Sequence[int]) -> in
     return 4 * counts[5] + 3 * counts[4] + 2 * counts[3] + counts[2] + 1
 
 
-def _block_cut_tree_order(g: Graph, dec: BlockDecomposition) -> list[tuple[int, Optional[int]]]:
+def _block_cut_tree_order(dec: BlockDecomposition) -> list[tuple[int, Optional[int]]]:
     """Blocks in BFS order over the block-cut tree, with the entry cut vertex.
 
     Processing in this order guarantees each non-root block sees exactly one
@@ -172,7 +171,7 @@ def stitch_colorings(
         raise ValueError(f"expected {dec.r} block colorings, got {len(per_block)}")
     global_coloring: dict[int, int] = {}
     next_color = 1
-    for b, entry_cut in _block_cut_tree_order(g, dec):
+    for b, entry_cut in _block_cut_tree_order(dec):
         block = dec.blocks[b]
         local = per_block[b]
         _require_total(block.graph, local)
@@ -256,9 +255,7 @@ def mvd_via_blocks(g: Graph, catalog: Optional[Catalog] = None) -> MvdResult:
     return MvdResult(value, coloring, "block-composed", block_methods=tuple(trail), decomposition=dec)
 
 
-def solve_auto(g: Graph, catalog: Optional[Catalog] = None) -> MvdResult:
-    """Closed form when the whole graph is a known family, else blockwise."""
-    closed = mvd_closed_form(g)
-    if closed is not None:
-        return closed
-    return mvd_via_blocks(g, catalog)
+# Cycles and complete graphs are single blocks that ``solve_block`` solves in
+# closed form, and trees consist of trivial blocks, so the block pipeline
+# already covers every whole-graph closed form.
+solve_auto = mvd_via_blocks

@@ -173,7 +173,6 @@ def test_save_load_round_trip(tmp_path):
         assert loaded.graph == entry.graph
         assert loaded.mvd_value == entry.mvd_value
         assert loaded.coloring == entry.coloring
-        assert loaded.minimal
 
 
 def test_load_rejects_tampered_file(tmp_path, data_dir):
@@ -188,7 +187,7 @@ def test_load_rejects_duplicate_class(tmp_path):
     cat = build_catalog(4, mvd_exact)
     save_catalog(cat, str(tmp_path))
     c4 = cat.entries_of_order(4)[0]
-    clone = CatalogEntry("copycat", c4.graph, c4.mvd_value, c4.coloring, True)
+    clone = CatalogEntry("copycat", c4.graph, c4.mvd_value, c4.coloring)
     extra = Catalog()
     extra.add(clone)
     save_catalog(extra, str(tmp_path))

@@ -261,3 +261,68 @@ def test_preserve_colors(data_dir):
     for label, c in pre.items():
         mapping.setdefault(c, ren[label])
         assert mapping[c] == ren[label]
+
+
+def main_out(capsys, *args: str) -> str:
+    from mvdcolor.cli import main
+
+    assert main(list(args)) == 0
+    return capsys.readouterr().out
+
+
+def test_solve_verifies_each_block_once(data_dir, c9_file, capsys, monkeypatch):
+    import mvdcolor.verify as verify
+    from mvdcolor.blocks import decompose
+    from mvdcolor.graph import load_graph
+
+    calls = []
+    real = verify.is_mvd_coloring
+    monkeypatch.setattr(verify, "is_mvd_coloring", lambda *a: calls.append(1) or real(*a))
+    example = str(data_dir / "example17.txt")
+    main_out(capsys, "solve", example)
+    assert len(calls) == decompose(load_graph(example)[0]).r == 2
+    calls.clear()
+    main_out(capsys, "solve", c9_file, "--method", "exact")
+    assert calls == []
+
+
+@pytest.fixture()
+def family_files(tmp_path) -> dict:
+    from mvdcolor.graph import complete_graph, cycle_graph, format_matrix, path_graph, star_graph
+
+    files = {}
+    for name, g in (("star", star_graph(5)), ("p6", path_graph(6)), ("c9", cycle_graph(9)), ("k5", complete_graph(5))):
+        files[name] = tmp_path / f"{name}.txt"
+        files[name].write_text(format_matrix(g))
+    return files
+
+
+def test_solve_whole_graph_families_go_through_blocks(family_files, capsys):
+    from mvdcolor.graph import load_graph
+    from mvdcolor.solve import mvd_closed_form
+    from mvdcolor.verify import is_mvd_coloring
+
+    trails = {"star": ["trivial"] * 5, "p6": ["trivial"] * 5, "c9": ["closed-form"], "k5": ["closed-form"]}
+    for name, path in family_files.items():
+        g, _ = load_graph(str(path))
+        report = json.loads(main_out(capsys, "solve", str(path), "--json"))
+        assert report["method"] == "block-composed"
+        assert [b["method"] for b in report["blocks"]] == trails[name]
+        assert report["mvd"] == mvd_closed_form(g).value
+        coloring = {g.index_of(label): c for label, c in report["coloring"].items()}
+        assert is_mvd_coloring(g, coloring).ok
+        assert len(set(coloring.values())) == report["mvd"]
+
+
+def test_solve_auto_and_blocks_print_identical_reports(data_dir, family_files, capsys):
+    example = str(data_dir / "example17.txt")
+    runs = [(example,), (example, "--catalog", str(data_dir / "typeset9"))]
+    runs += [(str(path),) for path in family_files.values()]
+    for run in runs:
+        for extra in ((), ("--json",)):
+            auto = main_out(capsys, "solve", *run, "--method", "auto", *extra)
+            blocks = main_out(capsys, "solve", *run, "--method", "blocks", *extra)
+            if extra:
+                auto, blocks = json.loads(auto), json.loads(blocks)
+                del auto["command"], blocks["command"]
+            assert auto == blocks
