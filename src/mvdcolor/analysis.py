@@ -15,8 +15,8 @@ from typing import Optional
 
 from .blocks import BlockDecomposition, decompose
 from .catalog import Catalog, is_minimally_two_connected, theta_graph, triangle_free
-from .graph import Graph, GuardError, cycle_graph, induced_subgraph, is_connected
-from .iso import canonical_form
+from .graph import Graph, cycle_graph, induced_subgraph, is_connected
+from .iso import CANONICAL_MAX_ORDER, canonical_form
 from .solve import mvd_via_blocks
 
 
@@ -175,12 +175,7 @@ def classify(g: Graph, catalog: Optional[Catalog] = None) -> ClassificationResul
     else:
         family = "unclassified"
     core = nontrivial_core(g, dec)
-    core_key: Optional[str] = None
-    if core is not None:
-        try:
-            core_key = canonical_form(core)
-        except GuardError:
-            core_key = None
+    core_key = canonical_form(core) if core is not None and core.order <= CANONICAL_MAX_ORDER else None
     return ClassificationResult(True, n, value, regime, family, core, core_key)
 
 

@@ -18,7 +18,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
 from .blocks import _dfs_engine
 from .graph import Graph, cycle_graph, default_labels, format_matrix, parse_matrix
-from .iso import canonical_form
+from .iso import canonical_form, canonical_labelling
 from .verify import color_count, is_mvd_coloring
 
 GENERATION_MIN_ORDER = 3
@@ -136,7 +136,7 @@ def _ear_extensions(g: Graph, internal: int) -> Iterable[Graph]:
 
 
 def generate_minimal_blocks_up_to(max_order: int) -> dict[int, list[Graph]]:
-    """Minimal blocks of every order 3..max_order, canonical-key sorted."""
+    """Minimal blocks of every order 3..max_order, each order sorted by canonical form."""
     if not GENERATION_MIN_ORDER <= max_order <= GENERATION_MAX_ORDER:
         raise ValueError(
             f"generation supports orders {GENERATION_MIN_ORDER}..{GENERATION_MAX_ORDER}, got {max_order}"
@@ -182,27 +182,29 @@ class CatalogEntry:
 
 @dataclass
 class Catalog:
-    """Entries indexed by canonical form; no two entries are isomorphic."""
+    """Entries indexed by their canonically relabelled graphs; no two entries are isomorphic."""
 
     entries: list[CatalogEntry] = field(default_factory=list)
-    _by_canon: dict[str, CatalogEntry] = field(default_factory=dict, repr=False)
+    _by_canon: dict[tuple, tuple[CatalogEntry, list[int]]] = field(default_factory=dict, repr=False)
     _max_order: int = field(default=0, repr=False)
 
     def add(self, entry: CatalogEntry) -> None:
-        key = canonical_form(entry.graph)
+        order, key = canonical_labelling(entry.graph)
         if key in self._by_canon:
             raise CatalogError(
-                f"entry {entry.id!r} is isomorphic to existing entry {self._by_canon[key].id!r}"
+                f"entry {entry.id!r} is isomorphic to existing entry {self._by_canon[key][0].id!r}"
             )
-        self._by_canon[key] = entry
+        self._by_canon[key] = (entry, order)
         self.entries.append(entry)
         self._max_order = max(self._max_order, entry.order)
 
-    def lookup(self, g: Graph) -> Optional[CatalogEntry]:
-        """The entry isomorphic to g, else None; never canonizes a graph larger than every entry."""
+    def lookup(self, g: Graph) -> Optional[tuple[CatalogEntry, dict[int, int]]]:
+        """The entry isomorphic to g and a vertex map onto it, else None; skips graphs past every entry."""
         if g.order > self._max_order:
             return None
-        return self._by_canon.get(canonical_form(g))
+        order, key = canonical_labelling(g)
+        entry, entry_order = self._by_canon.get(key, (None, []))
+        return None if entry is None else (entry, dict(zip(order, entry_order)))
 
     def entries_of_order(self, n: int) -> list[CatalogEntry]:
         return [e for e in self.entries if e.order == n]

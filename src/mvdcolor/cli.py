@@ -106,10 +106,9 @@ def _cmd_decompose(args) -> tuple[list[str], dict, int]:
 
 
 def _solve_result(g: Graph, method: str, catalog_dir: Optional[str]) -> MvdResult:
-    catalog = load_catalog(catalog_dir) if catalog_dir else None
-    if method == "exact":
+    if method == "exact":  # reads no catalog, so only the block path loads one
         return mvd_exact(g)
-    return solve_auto(g, catalog)
+    return solve_auto(g, load_catalog(catalog_dir) if catalog_dir else None)
 
 
 def _cmd_solve(args) -> tuple[list[str], dict, int]:

@@ -162,10 +162,6 @@ def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
     return Graph.from_edges([g.labels[v] for v in vertices], edges)
 
 
-def is_tree(g: Graph) -> bool:
-    return g.order >= 1 and g.size == g.order - 1 and is_connected(g)
-
-
 def is_complete(g: Graph) -> bool:
     n = g.order
     return g.size == n * (n - 1) // 2

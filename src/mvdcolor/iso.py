@@ -1,80 +1,29 @@
-"""Complete graph-isomorphism matching and canonical forms for small graphs.
+"""Canonical vertex orderings, and the keys and isomorphisms read from them.
 
-The matcher is a plain backtracking search with degree and neighbor-degree
-pruning; absence of a result is definitive.  Canonical keys are minimum
-adjacency strings, feasible here because every caller works at order <= 12.
+One iterative individualisation-refinement search (McKay & Piperno,
+"Practical graph isomorphism II", 2014) serves every caller.  It refines an
+ordered partition until equitable and individualises each vertex of the
+first smallest non-singleton cell in turn; the canonical ordering is the
+discrete leaf whose relabelled graph is least.  It splits cells of mutual
+twins outright, tries one vertex per twin class, and skips images of explored
+subtrees under automorphisms found at leaves.  More than ``MAX_SEARCH_NODES``
+nodes raise ``GuardError``.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 from .graph import Graph, GuardError
 
 CANONICAL_MAX_ORDER = 12
-
-
-def _invariant(g: Graph, v: int) -> tuple:
-    return (g.degree(v), tuple(sorted(g.degree(w) for w in g.neighbors[v])))
-
-
-def find_isomorphism(g: Graph, h: Graph) -> Optional[dict[int, int]]:
-    """Adjacency-preserving bijection from g onto h, or None (definitive).
-
-    When several isomorphisms exist the one minimal under vertex-index order
-    is returned; callers must not rely on which automorphism that is.
-    """
-    n = g.order
-    if n != h.order or g.size != h.size:
-        return None
-    g_inv = [_invariant(g, v) for v in range(n)]
-    h_inv = [_invariant(h, v) for v in range(n)]
-    if sorted(g_inv) != sorted(h_inv):
-        return None
-    candidates = [[w for w in range(n) if h_inv[w] == g_inv[v]] for v in range(n)]
-
-    mapping: list[int] = [-1] * n
-    used = [False] * n
-
-    def extend(v: int) -> bool:
-        if v == n:
-            return True
-        for w in candidates[v]:
-            if used[w]:
-                continue
-            ok = True
-            for u in range(v):
-                if g.has_edge(u, v) != h.has_edge(mapping[u], w):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapping[v] = w
-            used[w] = True
-            if extend(v + 1):
-                return True
-            used[w] = False
-            mapping[v] = -1
-        return False
-
-    if extend(0):
-        return {v: mapping[v] for v in range(n)}
-    return None
-
-
-def transfer_coloring(mapping: dict[int, int], source: dict[int, int]) -> dict[int, int]:
-    """Pull a coloring of the target graph back along the mapping."""
-    return {v: source[w] for v, w in mapping.items()}
+MAX_SEARCH_NODES = 50_000
 
 
 def _twin_classes(g: Graph) -> list[int]:
-    """Class id per vertex; twins (equal open or closed neighborhoods) share one.
+    """Class id per vertex: twins (equal open or closed neighborhoods) share one.
 
-    Swapping two twins is an automorphism, so the canonical search only needs
-    one representative per class at each branch point.  No vertex has both an
-    open twin (nonadjacent) and a closed twin (adjacent), so each class is the
-    first vertex with an equal open mask, else the first with an equal closed
-    mask.
+    No vertex has both kinds, so a class is the first vertex with an equal open, else closed, mask.
     """
     first_open: dict[int, int] = {}
     first_closed: dict[int, int] = {}
@@ -87,56 +36,120 @@ def _twin_classes(g: Graph) -> list[int]:
     return classes
 
 
-def canonical_form(g: Graph) -> str:
-    """Text key equal across isomorphic graphs: the minimum adjacency string.
+def _split(lab: list[int], start: list[int], end: list[int], c: int, key: Callable) -> list[tuple[int, int]]:
+    """Sort the cell at c by key and cut it where the key changes; the fragments' bounds."""
+    e = end[c]
+    lab[c:e] = sorted(lab[c:e], key=key)
+    keys = [key(v) for v in lab[c:e]]
+    cuts = [c] + [c + i for i in range(1, e - c) if keys[i] != keys[i - 1]] + [e]
+    for a, b in zip(cuts, cuts[1:]):
+        end[a] = b
+        for v in lab[a:b]:
+            start[v] = a
+    return list(zip(cuts, cuts[1:]))
 
-    Branch-and-bound over vertex orderings; the string concatenates each new
-    vertex's adjacency row against the prefix.
+
+def _refine(nbrs: Sequence[Sequence[int]], lab: list[int], start: list[int], end: list[int],
+            queue: list[int]) -> None:
+    """Split the ordered partition in place until it is equitable.
+
+    ``lab`` lists the vertices cell by cell; the cell at s ends at ``end[s]``
+    and v's starts at ``start[v]``.  Each splitter splits every cell by
+    neighbour count in it, ascending; a split cell not queued queues all its
+    fragments but the first largest, whose counts follow from the others'.
     """
-    n = g.order
-    if n > CANONICAL_MAX_ORDER:
-        raise GuardError(f"canonical form limited to order {CANONICAL_MAX_ORDER}, got {n}")
-    if n == 0:
-        return "0|"
-    twins = _twin_classes(g)
-    masks = g.adj_masks
-    best: list[tuple[int, ...]] = []
-    have_best = False
+    queued = set(queue)
+    for s in queue:  # the queue grows while it is read
+        queued.discard(s)
+        count: dict[int, int] = {}
+        for u in lab[s:end[s]]:
+            for w in nbrs[u]:
+                count[w] = count.get(w, 0) + 1
+        for c in sorted({start[w] for w in count}):
+            frags = _split(lab, start, end, c, lambda v: count.get(v, 0))
+            if c not in queued:
+                frags.remove(max(frags, key=lambda f: f[1] - f[0]))
+            queue.extend(a for a, _ in frags if a not in queued)
+            queued.update(a for a, _ in frags)
 
-    order: list[int] = []
-    rows: list[tuple[int, ...]] = []
-    in_order = [False] * n
 
-    def search() -> None:
-        nonlocal have_best, best
-        depth = len(order)
-        if depth == n:
-            if not have_best or rows < best:
-                best = list(rows)
-                have_best = True
-            return
-        options = []
-        seen_classes = set()
-        for v in range(n):
-            if in_order[v] or twins[v] in seen_classes:
+def _relabelled(nbrs: Sequence[Sequence[int]], order: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Neighbour positions of each vertex in the order, listed by position."""
+    pos = {v: i for i, v in enumerate(order)}
+    return tuple(tuple(sorted(pos[w] for w in nbrs[v])) for v in order)
+
+
+def canonical_labelling(g: Graph) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
+    """The vertices of g in canonical order, and g relabelled by it: equal exactly for isomorphic graphs."""
+    n, nbrs, twins, nodes = g.order, g.neighbors, _twin_classes(g), 0
+    best: Optional[tuple] = None  # (relabelled graph, ordering, branch choices) of the least leaf
+    gens: list[dict[int, int]] = []  # automorphisms found at leaves, on the points they move
+    stack: list[tuple] = []  # nodes with children left to try, one per depth
+    node: Optional[tuple] = (list(range(n)), [0] * n, [n] * (n + 1), [], [0])
+    while node is not None:
+        nodes += 1
+        if nodes > MAX_SEARCH_NODES:
+            raise GuardError(f"canonical search passed its budget of {MAX_SEARCH_NODES} nodes")
+        lab, start, end, path, splitters = node
+        while splitters:  # refine, then split each cell of mutual twins: all its orders are equivalent
+            _refine(nbrs, lab, start, end, splitters)
+            cells = [(end[c] - c, c) for c in set(start) if end[c] - c > 1]
+            twin_cells = [c for _, c in cells if len({twins[v] for v in lab[c:end[c]]}) == 1]
+            splitters = [i for c in twin_cells for i in range(c, end[c])]
+            for c in twin_cells:
+                _split(lab, start, end, c, lambda v: v)
+        if cells:
+            c = min(cells)[1]  # the first smallest cell; its children are one vertex per twin class
+            stack.append((lab, start, end, path, list({twins[v]: v for v in lab[c:end[c]]}.values()), []))
+        else:
+            leaf = (_relabelled(nbrs, lab), lab, path)
+            if best and leaf[0] == best[0]:  # an automorphism: skip the rest of the subtree at the fork
+                gens.append({a: b for a, b in zip(best[1], lab) if a != b})
+                del stack[1 + next(i for i, (a, b) in enumerate(zip(path, best[2])) if a != b):]
+            elif not best or leaf[0] < best[0]:
+                best = leaf
+        node = None
+        while stack and node is None:
+            lab, start, end, path, children, tried = stack[-1]
+            if not children:
+                stack.pop()
                 continue
-            seen_classes.add(twins[v])
-            row = tuple(1 if (masks[v] >> u) & 1 else 0 for u in order)
-            options.append((row, v))
-        options.sort()
-        for row, v in options:
-            if have_best:
-                prefix = rows + [row]
-                if prefix > best[: len(prefix)]:
-                    continue
-            order.append(v)
-            rows.append(row)
-            in_order[v] = True
-            search()
-            in_order[v] = False
-            rows.pop()
-            order.pop()
+            w = children.pop()
+            # skip w when an automorphism keeping every cell maps a tried child onto it
+            fixing = [p for p in gens if all(start[y] == start[x] for x, y in p.items())] if tried else []
+            orbit, todo = {w}, [w]
+            for x in todo:  # the list grows while it is read
+                new = {p.get(x, x) for p in fixing} - orbit
+                orbit |= new
+                todo.extend(new)
+            if orbit.isdisjoint(tried):
+                tried.append(w)
+                lab, start, end = lab[:], start[:], end[:]
+                _split(lab, start, end, start[w], lambda v: v != w)
+                node = (lab, start, end, path + [w], [start[w]])
+    return best[1], best[0]
 
-    search()
-    bits = "".join("".join(str(b) for b in row) for row in best)
-    return f"{n}|{bits}"
+
+def canonical_form(g: Graph) -> str:
+    """Key equal across isomorphic graphs: ``n|bits``, the rows below the diagonal in canonical order."""
+    if g.order > CANONICAL_MAX_ORDER:
+        raise GuardError(f"canonical form limited to order {CANONICAL_MAX_ORDER}, got {g.order}")
+    rows = map(set, canonical_labelling(g)[1])
+    return f"{g.order}|" + "".join("1" if j in row else "0" for i, row in enumerate(rows) for j in range(i))
+
+
+def find_isomorphism(g: Graph, h: Graph) -> Optional[dict[int, int]]:
+    """Adjacency-preserving bijection from g onto h, or None (definitive).
+
+    It maps the canonical ordering of g onto that of h position by position;
+    callers must not rely on which isomorphism that is.
+    """
+    if g.order != h.order or g.size != h.size:
+        return None
+    (order_g, relabelled_g), (order_h, relabelled_h) = canonical_labelling(g), canonical_labelling(h)
+    return dict(zip(order_g, order_h)) if relabelled_g == relabelled_h else None
+
+
+def transfer_coloring(mapping: dict[int, int], source: dict[int, int]) -> dict[int, int]:
+    """Pull a coloring of the target graph back along the mapping."""
+    return {v: source[w] for v, w in mapping.items()}

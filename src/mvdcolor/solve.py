@@ -15,8 +15,8 @@ from typing import Iterator, Mapping, Optional, Sequence
 
 from .blocks import Block, BlockDecomposition, decompose
 from .catalog import Catalog, is_minimally_two_connected
-from .graph import Graph, GuardError, cycle_order, is_complete, is_connected, is_tree
-from .iso import find_isomorphism, transfer_coloring
+from .graph import Graph, GuardError, cycle_order, is_complete, is_connected
+from .iso import transfer_coloring
 from .verify import _require_total, color_count, failing_block, nonadjacent_pairs, partition_passes
 
 MAX_EXACT_ORDER = 11
@@ -95,7 +95,7 @@ def mvd_exact(g: Graph) -> MvdResult:
 
 
 def mvd_closed_form(g: Graph) -> Optional[MvdResult]:
-    """Known-family shortcut: complete graphs, cycles, and trees; else None."""
+    """Known-family shortcut: complete graphs and cycles; else None."""
     n = g.order
     if n < 2 or not is_connected(g):
         return None
@@ -106,8 +106,6 @@ def mvd_closed_form(g: Graph) -> Optional[MvdResult]:
         half = n // 2
         coloring = {v: (j % half) + 1 for j, v in enumerate(walk)}
         return MvdResult(half, coloring, "closed-form")
-    if is_tree(g):
-        return MvdResult(n, {v: v + 1 for v in range(n)}, "closed-form")
     return None
 
 
@@ -154,9 +152,7 @@ def _block_cut_tree_order(dec: BlockDecomposition) -> list[tuple[int, Optional[i
     return order
 
 
-def stitch_colorings(
-    g: Graph, dec: BlockDecomposition, per_block: Sequence[Mapping[int, int]]
-) -> dict[int, int]:
+def stitch_colorings(dec: BlockDecomposition, per_block: Sequence[Mapping[int, int]]) -> dict[int, int]:
     """Merge per-block colorings into one global coloring, verified per block.
 
     Each block keeps its class structure up to renaming; the class of the
@@ -165,7 +161,7 @@ def stitch_colorings(
     order.  The result uses exactly (sum of per-block color counts) - r + 1
     colors.  Each block is checked once, on the restriction of the stitched
     coloring, which catches a bad block coloring and a stitching fault alike;
-    by the block lemma (see ``verify``) the result then passes on g.
+    by the block lemma (see ``verify``) the whole graph then passes.
     """
     if len(per_block) != dec.r:
         raise ValueError(f"expected {dec.r} block colorings, got {len(per_block)}")
@@ -206,11 +202,9 @@ def solve_block(block: Block, catalog: Optional[Catalog]) -> tuple[MvdResult, st
     if block.trivial:
         return MvdResult(2, {0: 1, 1: 2}, "closed-form"), "trivial"
     if catalog is not None:
-        entry = catalog.lookup(bg)
-        if entry is not None:
-            mapping = find_isomorphism(bg, entry.graph)
-            if mapping is None:
-                raise AssertionError("catalog lookup returned a non-isomorphic entry")
+        hit = catalog.lookup(bg)
+        if hit is not None:
+            entry, mapping = hit
             coloring = transfer_coloring(mapping, entry.coloring)
             return MvdResult(entry.mvd_value, coloring, "catalog"), f"catalog:{entry.id}"
     closed = mvd_closed_form(bg)
@@ -249,7 +243,7 @@ def mvd_via_blocks(g: Graph, catalog: Optional[Catalog] = None) -> MvdResult:
         tallied = counting_formula(dec, [res.value for res in solved])
         if tallied != value:
             raise AssertionError(f"counting formula {tallied} disagrees with composition {value}")
-    coloring = stitch_colorings(g, dec, [res.coloring for res in solved])
+    coloring = stitch_colorings(dec, [res.coloring for res in solved])
     if color_count(coloring) != value:
         raise AssertionError("stitched coloring does not use the composed number of colors")
     return MvdResult(value, coloring, "block-composed", block_methods=tuple(trail), decomposition=dec)

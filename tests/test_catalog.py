@@ -204,7 +204,10 @@ def test_lookup_is_isomorphism_invariant():
             rng.shuffle(perm)
             relabeled = induced_subgraph(entry.graph, perm)
             hit = cat.lookup(relabeled)
-            assert hit is not None and hit.id == entry.id
-            assert find_isomorphism(relabeled, hit.graph) is not None
+            assert hit is not None and hit[0].id == entry.id
+            mapping = hit[1]
+            assert sorted(mapping.values()) == list(range(entry.order))
+            for u, v in relabeled.edges():
+                assert entry.graph.has_edge(mapping[u], mapping[v])
     absent = Graph.from_edges(default_labels(4), [(0, 1), (1, 2), (2, 3)])
     assert cat.lookup(absent) is None

@@ -166,6 +166,45 @@ def test_iso_subcommand(tmp_path, data_dir):
     assert "NOT ISOMORPHIC" in proc.stdout
 
 
+@pytest.mark.parametrize("name, budget", [("P1500", 3.0), ("random_tree(1000)", 10.0)])
+def test_iso_large_sparse_graphs_within_budget(tmp_path, name, budget):
+    import random
+
+    from builders import random_tree
+    from mvdcolor.graph import format_edge_list, induced_subgraph, path_graph
+
+    g = path_graph(1500) if name == "P1500" else random_tree(random.Random(1), 1000)
+    perm = list(range(g.order))
+    random.Random(2).shuffle(perm)
+    h = induced_subgraph(g, perm)
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text(format_edge_list(g))
+    b.write_text(format_edge_list(h))
+    t0 = time.time()
+    proc = run_cli("iso", str(a), str(b), "--json")
+    elapsed = time.time() - t0
+    ok = elapsed < budget
+    line = f"iso {name}: {'PASS' if ok else 'FAIL (over budget)'} ({elapsed:.2f}s of {budget:.0f}s budget)"
+    print(line)
+    assert proc.returncode == 0, proc.stderr
+    mapping = {g.index_of(x): h.index_of(y) for x, y in json.loads(proc.stdout)["mapping"].items()}
+    assert all(h.has_edge(mapping[u], mapping[v]) for u, v in g.edges())
+    assert ok, line
+
+
+def test_iso_node_budget_exit_code(tmp_path, capsys, monkeypatch):
+    import mvdcolor.iso as iso
+    from mvdcolor.cli import main
+    from mvdcolor.graph import cycle_graph, format_matrix, induced_subgraph
+
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text(format_matrix(cycle_graph(5)))
+    b.write_text(format_matrix(induced_subgraph(cycle_graph(5), [2, 0, 3, 1, 4])))
+    monkeypatch.setattr(iso, "MAX_SEARCH_NODES", 1)
+    assert main(["iso", str(a), str(b)]) == 3
+    assert "budget" in capsys.readouterr().err
+
+
 def test_catalog_build_and_classify(tmp_path, data_dir):
     out = tmp_path / "cat"
     proc = run_cli("catalog", "build", "--max-order", "6", "--out", str(out))
@@ -286,6 +325,19 @@ def test_solve_verifies_each_block_once(data_dir, c9_file, capsys, monkeypatch):
     assert calls == []
 
 
+def test_exact_solve_loads_no_catalog(data_dir, c9_file, capsys, monkeypatch):
+    import mvdcolor.cli as cli
+
+    calls = []
+    real = cli.load_catalog
+    monkeypatch.setattr(cli, "load_catalog", lambda d: calls.append(d) or real(d))
+    catalog = str(data_dir / "typeset9")
+    main_out(capsys, "solve", c9_file, "--method", "exact", "--catalog", catalog)
+    assert calls == []
+    main_out(capsys, "solve", c9_file, "--method", "blocks", "--catalog", catalog)
+    assert calls == [catalog]
+
+
 @pytest.fixture()
 def family_files(tmp_path) -> dict:
     from mvdcolor.graph import complete_graph, cycle_graph, format_matrix, path_graph, star_graph
@@ -308,7 +360,7 @@ def test_solve_whole_graph_families_go_through_blocks(family_files, capsys):
         report = json.loads(main_out(capsys, "solve", str(path), "--json"))
         assert report["method"] == "block-composed"
         assert [b["method"] for b in report["blocks"]] == trails[name]
-        assert report["mvd"] == mvd_closed_form(g).value
+        assert report["mvd"] == (g.order if name in ("star", "p6") else mvd_closed_form(g).value)
         coloring = {g.index_of(label): c for label, c in report["coloring"].items()}
         assert is_mvd_coloring(g, coloring).ok
         assert len(set(coloring.values())) == report["mvd"]

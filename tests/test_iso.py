@@ -1,20 +1,30 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
-from mvdcolor.catalog import theta_graph
+from mvdcolor.catalog import generate_minimal_blocks_up_to, theta_graph
 from mvdcolor.graph import (
+    Graph,
     GuardError,
     complete_graph,
     cycle_graph,
+    default_labels,
     induced_subgraph,
     load_graph,
     path_graph,
     star_graph,
 )
-from mvdcolor.iso import canonical_form, find_isomorphism, transfer_coloring
+from mvdcolor.iso import (
+    CANONICAL_MAX_ORDER,
+    _refine,
+    canonical_form,
+    canonical_labelling,
+    find_isomorphism,
+    transfer_coloring,
+)
 from mvdcolor.verify import is_mvd_coloring
 from builders import random_connected_graph
 from oracles import brute_force_isomorphism
@@ -150,3 +160,83 @@ def test_transfer_commutes_with_restriction():
     a = {v: moved[v] for v in subset}
     b = {v: source[mapping[v]] for v in subset}
     assert a == b
+
+
+def srg_16_6_2_2_pair() -> tuple[Graph, Graph]:
+    """The Shrikhande graph and the 4x4 rook's graph: both SRG(16, 6, 2, 2), not isomorphic."""
+    cells = [(i, j) for i in range(4) for j in range(4)]
+    steps = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
+
+    def make(adjacent) -> Graph:
+        pairs = itertools.combinations(range(16), 2)
+        return Graph.from_edges(default_labels(16), [(a, b) for a, b in pairs if adjacent(cells[a], cells[b])])
+
+    shrikhande = make(lambda p, q: ((q[0] - p[0]) % 4, (q[1] - p[1]) % 4) in steps)
+    rook = make(lambda p, q: (p[0] == q[0]) != (p[1] == q[1]))
+    return shrikhande, rook
+
+
+def test_refinement_leaves_strongly_regular_graphs_in_one_cell():
+    for g in srg_16_6_2_2_pair():
+        lab, start, end = list(range(16)), [0] * 16, [16] * 17
+        _refine(g.neighbors, lab, start, end, [0])
+        assert end[0] == 16 and set(start) == {0}
+
+
+def test_search_agrees_with_networkx():
+    nx = pytest.importorskip("networkx")
+
+    def to_nx(g):
+        out = nx.Graph()
+        out.add_nodes_from(range(g.order))
+        out.add_edges_from(g.edges())
+        return out
+
+    rng = random.Random(4242)
+    pairs = []
+    for _ in range(200):
+        n = rng.randint(2, 12)
+        g = random_connected_graph(rng, n)
+        pairs.append((g, shuffled_copy(g, rng) if rng.random() < 0.5 else random_connected_graph(rng, n)))
+    census = generate_minimal_blocks_up_to(10)
+    for blocks in census.values():
+        for base in blocks:
+            free = [(u, v) for u, v in itertools.combinations(range(base.order), 2) if not base.has_edge(u, v)]
+            chorded = Graph.from_edges(base.labels, base.edges() + [rng.choice(free)]) if free else base
+            pairs += [(base, shuffled_copy(base, rng)), (chorded, shuffled_copy(chorded, rng))]
+            pairs += [(base, chorded), (base, shuffled_copy(rng.choice(blocks), rng))]
+    shrikhande, rook = srg_16_6_2_2_pair()
+    for g in (complete_graph(10), theta_graph([1] * 8), shrikhande, rook):
+        pairs.append((g, shuffled_copy(g, rng)))
+    pairs.append((shrikhande, rook))
+    for g, h in pairs:
+        want = nx.is_isomorphic(to_nx(g), to_nx(h))
+        mapping = find_isomorphism(g, h)
+        assert (mapping is not None) == want
+        if mapping is not None:
+            assert sorted(mapping.values()) == list(range(h.order))
+            assert all(h.has_edge(mapping[u], mapping[v]) for u, v in g.edges())
+        keys = [canonical_form(x) if x.order <= CANONICAL_MAX_ORDER else canonical_labelling(x)[1] for x in (g, h)]
+        assert (keys[0] == keys[1]) == want
+
+
+def test_canonical_labelling_is_invariant_on_regular_graphs():
+    """Random cubic graphs, alone and in disjoint pairs: refinement leaves them
+    in one cell, so the search must prune by automorphisms without losing the
+    least leaf."""
+    rng = random.Random(8)
+
+    def cubic(n: int, offset: int = 0) -> list[tuple[int, int]]:
+        while True:
+            stubs = [v for v in range(n) for _ in range(3)]
+            rng.shuffle(stubs)
+            edges = {(min(a, b) + offset, max(a, b) + offset) for a, b in zip(stubs[::2], stubs[1::2]) if a != b}
+            if len(edges) == 3 * n // 2:
+                return sorted(edges)
+
+    graphs = [Graph.from_edges(default_labels(n), cubic(n)) for n in (8, 10, 12, 14, 16) for _ in range(8)]
+    graphs += [Graph.from_edges(default_labels(16), cubic(8) + cubic(8, 8)) for _ in range(40)]
+    for g in graphs:
+        relabelled = canonical_labelling(g)[1]
+        for _ in range(5):
+            assert canonical_labelling(shuffled_copy(g, rng))[1] == relabelled
