@@ -14,7 +14,6 @@ from .analysis import (
     bound_blocks,
     bound_half_order,
     classify,
-    triangle_blocks_value,
 )
 from .blocks import Block, BlockDecomposition, decompose
 from .catalog import (
@@ -102,7 +101,6 @@ __all__ = [
     "theta_graph",
     "to_dot",
     "transfer_coloring",
-    "triangle_blocks_value",
     "triangle_free",
 ]
 

@@ -113,13 +113,14 @@ def nontrivial_core(g: Graph, dec: Optional[BlockDecomposition] = None) -> Optio
 
 
 def _structural_family(dec: BlockDecomposition) -> Optional[str]:
-    nontrivial = [b for b in dec.blocks if not b.trivial]
-    if not nontrivial:
+    # no family core is larger than C8, so a larger block matches none of them
+    keys = [canonical_form(b.graph) if b.graph.order <= 8 else None for b in dec.blocks if not b.trivial]
+    if not keys:
         return "tree"
     class_a, class_b = _family_keys()
     c4_key = canonical_form(cycle_graph(4))
-    if len(nontrivial) == 1:
-        key = canonical_form(nontrivial[0].graph)
+    if len(keys) == 1:
+        key = keys[0]
         if key == c4_key:
             return "unicyclic-C4"
         if key in class_a:
@@ -127,7 +128,7 @@ def _structural_family(dec: BlockDecomposition) -> Optional[str]:
         if key in class_b:
             return "class-B"
         return None
-    if len(nontrivial) == 2 and all(canonical_form(b.graph) == c4_key for b in nontrivial):
+    if len(keys) == 2 and all(key == c4_key for key in keys):
         return "class-B"
     return None
 
@@ -178,16 +179,3 @@ def classify(g: Graph, catalog: Optional[Catalog] = None) -> ClassificationResul
     core_key = canonical_form(core) if core is not None and core.order <= CANONICAL_MAX_ORDER else None
     return ClassificationResult(True, n, value, regime, family, core, core_key)
 
-
-def triangle_blocks_value(g: Graph) -> Optional[int]:
-    """n when every nontrivial block is a triangle (vacuously for trees)."""
-    if g.order < 2 or not is_connected(g):
-        raise ValueError("needs a connected graph of order >= 2")
-    dec = decompose(g)
-    for block in dec.blocks:
-        if block.trivial:
-            continue
-        bg = block.graph
-        if not (bg.order == 3 and bg.size == 3):
-            return None
-    return g.order

@@ -28,6 +28,14 @@ class Block:
 
 @dataclass(frozen=True)
 class BlockDecomposition:
+    """Blocks in DFS completion order, and the cut vertices.
+
+    Each block lists its vertices with its articulation parent last, and the
+    last block contains the DFS root.  So for every block but the last, its
+    last vertex is the only one it shares with the blocks after it; walking
+    the blocks backwards, each meets the part already walked at that vertex.
+    """
+
     blocks: tuple[Block, ...]
     cut_vertices: frozenset[int]
 

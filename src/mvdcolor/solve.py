@@ -1,21 +1,23 @@
 """Computing the disconnection number: exact search, closed forms, blocks.
 
-The exact solver enumerates set partitions as restricted-growth strings
-grouped by class count, descending from the order (a first success at k
-classes proves the value is k).  Block-composed solving decomposes the graph,
-solves each block via catalog lookup, closed form, or exact search, stitches
-the per-block colorings across cut vertices, and composes the value as
-``sum of block values - r + 1``.
+The exact solver walks the colourings of each class count k, descending from
+the order, as restricted-growth strings: it colours one vertex at a time,
+keeps a bitmask per colour class, and checks each full assignment against
+those masks.  A first success at k classes proves the value is k.
+Block-composed solving decomposes the graph, solves each block via catalog
+lookup, closed form, or exact search, stitches the per-block colorings
+across cut vertices in reverse decomposition order, and composes the value
+as ``sum of block values - r + 1``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .blocks import Block, BlockDecomposition, decompose
 from .catalog import Catalog, is_minimally_two_connected
-from .graph import Graph, GuardError, cycle_order, is_complete, is_connected
+from .graph import Graph, GuardError, _bits, cycle_order, is_complete, is_connected
 from .iso import transfer_coloring
 from .verify import _require_total, color_count, failing_block, nonadjacent_pairs, partition_passes
 
@@ -39,39 +41,46 @@ class MvdResult:
     decomposition: Optional[BlockDecomposition] = field(default=None, compare=False, repr=False)
 
 
-def partitions_into_k_classes(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Restricted-growth enumeration of partitions of n items into exactly k classes.
+def _walk(
+    g: Graph,
+    pairs: Sequence[tuple[int, int]],
+    memo: dict[int, list[int]],
+    masks: list[int],
+    v: int,
+    used: int,
+) -> bool:
+    """Colour vertices v onward into the classes of ``masks``, classes 1..used
+    open, in restricted-growth order; True, with ``masks`` holding it, at the
+    first partition into exactly ``len(masks)`` classes that passes.
 
-    Yields color tuples with classes numbered 1..k in first-appearance order,
-    in lexicographic order.
+    A module function, not a closure in ``mvd_exact``: a recursive closure is
+    a reference cycle, which would hold the view memo until the cycle
+    collector runs.
     """
-    if n < 1 or k < 1 or k > n:
-        return
-    colors = [1] * n
-
-    def rec(i: int, used: int) -> Iterator[tuple[int, ...]]:
-        if i == n:
-            if used == k:
-                yield tuple(colors)
-            return
-        hi = min(used + 1, k)
-        remaining = n - i - 1
-        for c in range(1, hi + 1):
-            new_used = max(used, c)
-            if k - new_used <= remaining:
-                colors[i] = c
-                yield from rec(i + 1, new_used)
-        colors[i] = 1
-
-    yield from rec(1, 1)
+    n, k = g.order, len(masks)
+    if v == n:
+        return partition_passes(g, masks, pairs, memo)
+    bit = 1 << v
+    # once the unopened classes need every vertex left, v must open one
+    for c in range(used if n - v == k - used else 0, min(used + 1, k)):
+        masks[c] |= bit
+        if _walk(g, pairs, memo, masks, v + 1, max(used, c + 1)):
+            return True
+        masks[c] ^= bit
+    return False
 
 
 def mvd_exact(g: Graph) -> MvdResult:
     """Maximum class count over all passing partitions, by descending search.
 
-    Guarded to order 11 (Bell-number search).  Complete graphs short-circuit
-    to n with all-distinct colors.  When the input is minimally 2-connected of
-    order >= 4 the descent starts at floor(n/2), the known upper bound.
+    For each k from the start down, one walk colours the vertices in turn in
+    restricted-growth order (classes numbered by first appearance, exactly k
+    of them, lexicographic), keeps one bitmask per class, and checks each
+    full assignment; a first pass at k proves the value is k.  Guarded to
+    order 11 (Bell-number search).  The search starts at n, where the one
+    partition is all singletons (so a complete graph gets n distinct
+    colours), or at floor(n/2), the known upper bound, when the input is
+    minimally 2-connected of order >= 4.
     """
     n = g.order
     if n < 2:
@@ -80,17 +89,15 @@ def mvd_exact(g: Graph) -> MvdResult:
         raise GuardError(f"exact search limited to order {MAX_EXACT_ORDER}, got {n}")
     if not is_connected(g):
         raise ValueError("mvd is defined for connected graphs")
-    if is_complete(g):
-        return MvdResult(n, {v: v + 1 for v in range(n)}, "exact")
     start = n
     if n >= 4 and is_minimally_two_connected(g):
         start = n // 2
     pairs = nonadjacent_pairs(g)
-    views: dict[int, list[int]] = {}
+    memo: dict[int, list[int]] = {}
     for k in range(start, 0, -1):
-        for colors in partitions_into_k_classes(n, k):
-            if partition_passes(g, colors, pairs, views):
-                return MvdResult(k, {v: colors[v] for v in range(n)}, "exact")
+        masks = [1] + [0] * (k - 1)  # vertex 0 opens class 1
+        if _walk(g, pairs, memo, masks, 1, 1):
+            return MvdResult(k, {v: c + 1 for c, mask in enumerate(masks) for v in _bits(mask)}, "exact")
     raise AssertionError("unreachable: the single-class coloring always passes")
 
 
@@ -128,53 +135,29 @@ def counting_formula(dec: BlockDecomposition, block_values: Sequence[int]) -> in
     return 4 * counts[5] + 3 * counts[4] + 2 * counts[3] + counts[2] + 1
 
 
-def _block_cut_tree_order(dec: BlockDecomposition) -> list[tuple[int, Optional[int]]]:
-    """Blocks in BFS order over the block-cut tree, with the entry cut vertex.
-
-    Processing in this order guarantees each non-root block sees exactly one
-    already-colored vertex: the cut vertex it was reached through.
-    """
-    by_cut: dict[int, list[int]] = {c: [] for c in dec.cut_vertices}
-    for i, block in enumerate(dec.blocks):
-        for v in block.vertices:
-            if v in by_cut:
-                by_cut[v].append(i)
-    seen_blocks = {0}
-    order: list[tuple[int, Optional[int]]] = [(0, None)]
-    for b, _ in order:  # the order list doubles as the BFS queue
-        for c in sorted(v for v in dec.blocks[b].vertices if v in by_cut):
-            for nb in by_cut[c]:
-                if nb not in seen_blocks:
-                    seen_blocks.add(nb)
-                    order.append((nb, c))
-    if len(order) != dec.r:
-        raise ValueError("block-cut tree is not connected; is the graph connected?")
-    return order
-
-
 def stitch_colorings(dec: BlockDecomposition, per_block: Sequence[Mapping[int, int]]) -> dict[int, int]:
     """Merge per-block colorings into one global coloring, verified per block.
 
-    Each block keeps its class structure up to renaming; the class of the
-    shared cut vertex is renamed to that vertex's fixed global color and every
-    other class receives a fresh color, allocated consecutively in processing
-    order.  The result uses exactly (sum of per-block color counts) - r + 1
-    colors.  Each block is checked once, on the restriction of the stitched
-    coloring, which catches a bad block coloring and a stitching fault alike;
-    by the block lemma (see ``verify``) the whole graph then passes.
+    Blocks are taken in reverse decomposition order, so each block after the
+    first meets the colored part exactly at its last vertex, its articulation
+    parent (see ``BlockDecomposition``).  Each block keeps its class structure
+    up to renaming; the class of that shared cut vertex is renamed to the
+    vertex's fixed global color and every other class receives a fresh color,
+    allocated consecutively in processing order.  The result uses exactly (sum
+    of per-block color counts) - r + 1 colors.  Each block is checked once, on
+    the restriction of the stitched coloring, which catches a bad block
+    coloring and a stitching fault alike; by the block lemma (see ``verify``)
+    the whole graph then passes.
     """
     if len(per_block) != dec.r:
         raise ValueError(f"expected {dec.r} block colorings, got {len(per_block)}")
     global_coloring: dict[int, int] = {}
     next_color = 1
-    for b, entry_cut in _block_cut_tree_order(dec):
-        block = dec.blocks[b]
-        local = per_block[b]
+    for block, local in zip(reversed(dec.blocks), reversed(per_block)):
         _require_total(block.graph, local)
         rename: dict[int, int] = {}
-        if entry_cut is not None:
-            local_cut = block.vertices.index(entry_cut)
-            rename[local[local_cut]] = global_coloring[entry_cut]
+        if global_coloring:
+            rename[local[len(block.vertices) - 1]] = global_coloring[block.vertices[-1]]
         for c in sorted(set(local.values())):
             if c not in rename:
                 rename[c] = next_color

@@ -150,12 +150,13 @@ def failing_block(
 
 
 def partition_passes(
-    g: Graph, colors: Sequence[int], pairs: Sequence[tuple[int, int]], memo: dict[int, list[int]]
+    g: Graph, class_masks: Sequence[int], pairs: Sequence[tuple[int, int]], memo: dict[int, list[int]]
 ) -> bool:
-    """``is_mvd_coloring(...).ok`` for the exact search's hot loop; ``memo``
-    keeps class views by class mask across calls on one graph."""
+    """``is_mvd_coloring(...).ok`` for the exact search's hot loop, given one
+    bitmask per colour class; ``memo`` keeps class views by class mask across
+    calls on one graph."""
     views = []
-    for _, class_mask in _classes(colors):
+    for class_mask in class_masks:
         view = memo.get(class_mask)
         if view is None:
             view = memo[class_mask] = class_view(g, class_mask)

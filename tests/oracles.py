@@ -2,7 +2,10 @@
 
 Everything here goes through definitions directly (subset enumeration,
 permutation search, full partition enumeration) and stays independent of the
-implementation paths it validates.
+implementation paths it validates.  Two reference helpers that the library
+no longer needs also live here: the restricted-growth partition enumerator
+that the exact search used to draw from, and ``triangle_blocks_value``, which
+reads the library's block decomposition.
 """
 
 from __future__ import annotations
@@ -10,7 +13,8 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Optional
 
-from mvdcolor.graph import Graph, default_labels
+from mvdcolor.blocks import decompose
+from mvdcolor.graph import Graph, default_labels, is_connected
 
 
 def components(g: Graph, removed: set[int]) -> list[set[int]]:
@@ -118,6 +122,47 @@ def oracle_mvd(g: Graph) -> int:
         if oracle_is_mvd(g, coloring):
             best = len(parts)
     return best
+
+
+def partitions_into_k_classes(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """Restricted-growth enumeration of partitions of n items into exactly k classes.
+
+    Yields color tuples with classes numbered 1..k in first-appearance order,
+    in lexicographic order.
+    """
+    if n < 1 or k < 1 or k > n:
+        return
+    colors = [1] * n
+
+    def rec(i: int, used: int) -> Iterator[tuple[int, ...]]:
+        if i == n:
+            if used == k:
+                yield tuple(colors)
+            return
+        hi = min(used + 1, k)
+        remaining = n - i - 1
+        for c in range(1, hi + 1):
+            new_used = max(used, c)
+            if k - new_used <= remaining:
+                colors[i] = c
+                yield from rec(i + 1, new_used)
+        colors[i] = 1
+
+    yield from rec(1, 1)
+
+
+def triangle_blocks_value(g: Graph) -> Optional[int]:
+    """n when every nontrivial block is a triangle (vacuously for trees)."""
+    if g.order < 2 or not is_connected(g):
+        raise ValueError("needs a connected graph of order >= 2")
+    dec = decompose(g)
+    for block in dec.blocks:
+        if block.trivial:
+            continue
+        bg = block.graph
+        if not (bg.order == 3 and bg.size == 3):
+            return None
+    return g.order
 
 
 def brute_force_isomorphism(g: Graph, h: Graph) -> Optional[dict[int, int]]:

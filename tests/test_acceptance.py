@@ -41,7 +41,7 @@ from mvdcolor.solve import (
 from mvdcolor.verify import color_count, is_mvd_coloring, restrict
 from mvdcolor.analysis import bound_blocks, classify
 from builders import attach_blocks, random_cactus, random_tree, random_connected_graph, with_pendants
-from oracles import oracle_is_mvd
+from oracles import oracle_is_mvd, partitions_into_k_classes
 
 DATA = Path(__file__).parent.parent / "data"
 
@@ -332,8 +332,6 @@ def test_criterion_9_verifier_matches_subset_oracle():
     for n in range(2, 7):
         colorings = []
         for k in range(1, min(3, n) + 1):
-            from mvdcolor.solve import partitions_into_k_classes
-
             colorings.extend(partitions_into_k_classes(n, k))
         for g in classes[n]:
             for colors in colorings:

@@ -10,12 +10,12 @@ from mvdcolor.analysis import (
     bound_half_order,
     classify,
     nontrivial_core,
-    triangle_blocks_value,
 )
 from mvdcolor.catalog import theta_graph
 from mvdcolor.graph import Graph, complete_graph, cycle_graph, path_graph, star_graph
 from mvdcolor.solve import mvd_exact, mvd_via_blocks
 from builders import attach_blocks, random_cactus, random_tree, with_pendants
+from oracles import triangle_blocks_value
 
 
 def glue_at_vertex(a: Graph, b: Graph) -> Graph:

@@ -117,6 +117,15 @@ def test_structural_invariants_on_random_sample():
             assert (count >= 2) == (v in dec.cut_vertices)
 
 
+def test_each_block_meets_the_later_blocks_at_its_last_vertex():
+    rng = random.Random(19)
+    for trial in range(200):
+        dec = decompose(random_connected_graph(rng, rng.randint(2, 12)))
+        for i, block in enumerate(dec.blocks[:-1]):
+            later = {v for b in dec.blocks[i + 1:] for v in b.vertices}
+            assert set(block.vertices) & later == {block.vertices[-1]}
+
+
 def test_long_path_does_not_overflow():
     # the explicit stack must survive degenerate deep recursions
     g = path_graph(3000)

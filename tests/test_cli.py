@@ -227,6 +227,17 @@ def test_catalog_build_and_classify(tmp_path, data_dir):
     assert "family: unicyclic-C4" in proc.stdout
 
 
+def test_classify_gated_block_beyond_canonical_guard(tmp_path):
+    from mvdcolor.graph import cycle_graph, format_matrix
+
+    c14 = tmp_path / "c14.txt"
+    c14.write_text(format_matrix(cycle_graph(14)))
+    proc = run_cli("classify", str(c14))
+    assert proc.returncode == 0, proc.stderr
+    assert "family: unclassified" in proc.stdout
+    assert "core key: (beyond canonical guard)" in proc.stdout
+
+
 def test_classify_gate_failure_exit_code(tmp_path):
     triangle = tmp_path / "c3.txt"
     triangle.write_text("a, b, c\n0, 1, 1\n1, 0, 1\n1, 1, 0\n")

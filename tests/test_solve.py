@@ -6,7 +6,12 @@ import time
 import pytest
 
 from mvdcolor.blocks import decompose
-from mvdcolor.catalog import load_catalog, theta_graph
+from mvdcolor.catalog import (
+    generate_minimal_blocks_up_to,
+    is_minimally_two_connected,
+    load_catalog,
+    theta_graph,
+)
 from mvdcolor.graph import (
     Graph,
     GuardError,
@@ -24,12 +29,11 @@ from mvdcolor.solve import (
     mvd_compose,
     mvd_exact,
     mvd_via_blocks,
-    partitions_into_k_classes,
     stitch_colorings,
 )
 from mvdcolor.verify import color_count, failing_block, is_mvd_coloring, restrict
 from builders import attach_blocks, random_cactus, random_connected_graph, random_tree
-from oracles import all_set_partitions, oracle_is_mvd
+from oracles import all_set_partitions, oracle_is_mvd, partitions_into_k_classes
 
 
 def test_partition_enumeration_counts():
@@ -92,14 +96,52 @@ def test_exact_matches_independent_oracle():
         assert mvd_exact(g).value == want
 
 
+def reference_exact(g: Graph) -> tuple[int, dict[int, int]]:
+    """The descending search over the reference enumerator: the first
+    partition, from the same start in the same order, that the public
+    verifier passes."""
+    n = g.order
+    start = n // 2 if n >= 4 and is_minimally_two_connected(g) else n
+    for k in range(start, 0, -1):
+        for colors in partitions_into_k_classes(n, k):
+            coloring = {v: colors[v] for v in range(n)}
+            if is_mvd_coloring(g, coloring).ok:
+                return k, coloring
+    raise AssertionError("the single-class coloring always passes")
+
+
+def wheel_graph(n: int) -> Graph:
+    """A hub joined to every vertex of a cycle on the other n - 1 vertices."""
+    rim = n - 1
+    edges = [(i, (i + 1) % rim) for i in range(rim)] + [(i, rim) for i in range(rim)]
+    return Graph.from_edges(default_labels(n), edges)
+
+
+def test_exact_walk_matches_reference_search():
+    rng = random.Random(97)
+    graphs = [random_connected_graph(rng, rng.randint(2, 8)) for _ in range(40)]
+    for blocks in generate_minimal_blocks_up_to(8).values():
+        for b in blocks:
+            free = [(u, v) for u in range(b.order) for v in range(u + 1, b.order) if not b.has_edge(u, v)]
+            graphs.append(b)
+            if free:
+                graphs.append(Graph.from_edges(b.labels, b.edges() + [rng.choice(free)]))
+    graphs += [wheel_graph(n) for n in range(4, 9)]
+    graphs += [complete_graph(n) for n in range(2, 8)]
+    for g in graphs:
+        res = mvd_exact(g)
+        assert (res.value, res.coloring) == reference_exact(g), g.edges()
+
+
 def test_fast_assignment_check_matches_public_verifier():
-    from mvdcolor.verify import nonadjacent_pairs, partition_passes
+    from mvdcolor.verify import _classes, nonadjacent_pairs, partition_passes
 
     rng = random.Random(59)
     for trial in range(80):
         g = random_connected_graph(rng, rng.randint(2, 7))
         colors = tuple(rng.randint(1, 3) for _ in range(g.order))
-        fast = partition_passes(g, colors, nonadjacent_pairs(g), {})
+        masks = [mask for _, mask in _classes(colors)]
+        fast = partition_passes(g, masks, nonadjacent_pairs(g), {})
         slow = is_mvd_coloring(g, {v: colors[v] for v in range(g.order)}).ok
         assert fast == slow
 
