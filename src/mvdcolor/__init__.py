@@ -15,14 +15,13 @@ from .analysis import (
     bound_half_order,
     classify,
 )
-from .blocks import Block, BlockDecomposition, decompose
+from .blocks import Block, BlockDecomposition, decompose, is_minimally_two_connected
 from .catalog import (
     Catalog,
     CatalogEntry,
     CatalogError,
     build_catalog,
     generate_minimal_blocks,
-    is_minimally_two_connected,
     load_catalog,
     save_catalog,
     theta_graph,

@@ -13,8 +13,8 @@ import functools
 from dataclasses import dataclass
 from typing import Optional
 
-from .blocks import BlockDecomposition, decompose
-from .catalog import Catalog, is_minimally_two_connected, theta_graph, triangle_free
+from .blocks import BlockDecomposition, decompose, is_minimally_two_connected
+from .catalog import Catalog, theta_graph, triangle_free
 from .graph import Graph, cycle_graph, induced_subgraph, is_connected
 from .iso import CANONICAL_MAX_ORDER, canonical_form
 from .solve import mvd_via_blocks

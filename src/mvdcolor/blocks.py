@@ -1,9 +1,12 @@
-"""Block decomposition of connected graphs by iterative low-link DFS.
+"""Block decomposition and minimal 2-connectivity by iterative low-link DFS.
 
-The search explores from vertex 0 with neighbors in ascending index order, so
-blocks and cut vertices come out deterministically.  Blocks are emitted with
-vertices in stack pop order followed by the articulation parent; the search
-uses an explicit stack and survives long paths that would overflow recursion.
+One search serves both: ``decompose`` runs it once, and
+``is_minimally_two_connected`` reruns it without each edge whose removal
+is in doubt.  The search explores from vertex 0 with neighbors in ascending
+index order, so blocks and cut vertices come out deterministically.  Blocks
+are emitted with vertices in stack pop order followed by the articulation
+parent; the search uses an explicit stack and survives long paths that
+would overflow recursion.
 """
 
 from __future__ import annotations
@@ -106,6 +109,34 @@ def _dfs_engine(neighbors: Sequence[Sequence[int]], root: int) -> tuple[list[lis
     if root_children >= 2:
         cuts.add(root)
     return blocks, cuts
+
+
+def is_minimally_two_connected(g: Graph) -> bool:
+    """2-connected, and every single edge removal destroys 2-connectivity.
+
+    g is 2-connected iff the block search finds one block covering all of its
+    n >= 3 vertices.  Dropping an edge leaves a 2-connected graph connected,
+    so the edge is needed iff the search then finds more than one block.  An
+    edge with an end of degree 2 is always needed: without it, that end's one
+    remaining neighbour is a cut vertex.  So the search reruns only for edges
+    between vertices of degree >= 3, and a cycle takes one search.
+    """
+    if g.order < 3:
+        return False
+    blocks, _ = _dfs_engine(g.neighbors, root=0)
+    if len(blocks) != 1 or len(blocks[0]) != g.order:
+        return False
+    neighbors = list(g.neighbors)
+    for u, v in g.edges():
+        if len(g.neighbors[u]) == 2 or len(g.neighbors[v]) == 2:
+            continue
+        neighbors[u] = tuple(w for w in g.neighbors[u] if w != v)
+        neighbors[v] = tuple(w for w in g.neighbors[v] if w != u)
+        blocks, _ = _dfs_engine(neighbors, root=0)
+        if len(blocks) == 1:
+            return False
+        neighbors[u], neighbors[v] = g.neighbors[u], g.neighbors[v]
+    return True
 
 
 def decompose(g: Graph) -> BlockDecomposition:

@@ -2,23 +2,25 @@
 
 Minimal blocks (minimally 2-connected graphs) of order 3..10 are generated
 by seeding with cycles and closing under ear additions that carry at least
-one internal vertex, filtering for minimality at every order and
-deduplicating by canonical form.  Every minimal block that is not a cycle
-admits an ear decomposition whose ears all keep a degree-2 vertex, so
-single-ear extensions of smaller minimal blocks reach the whole class.
+one internal vertex, filtering with ``blocks.is_minimally_two_connected`` at
+every order and deduplicating by canonical form.  Every minimal block that
+is not a cycle admits an ear decomposition whose ears all keep a degree-2
+vertex, so single-ear extensions of smaller minimal blocks reach the whole
+class.  ``build_catalog`` solves each census block with ``mvd_exact`` and
+checks the stored coloring before indexing it.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-import re
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
-from .blocks import _dfs_engine
+from .blocks import is_minimally_two_connected
 from .graph import Graph, cycle_graph, default_labels, format_matrix, parse_matrix
 from .iso import canonical_form, canonical_labelling
+from .solve import mvd_exact
 from .verify import color_count, is_mvd_coloring
 
 GENERATION_MIN_ORDER = 3
@@ -29,40 +31,14 @@ class CatalogError(ValueError):
     """Corrupt or inconsistent catalog content."""
 
 
-ThetaSpec = Union[str, Sequence[int]]
-
-
-def parse_theta_spec(text: str) -> tuple[int, ...]:
-    """Expand a path-length list such as ``P(3, 2*1)`` or ``3,2*1`` to (3,1,1)."""
-    body = text.strip()
-    m = re.fullmatch(r"[Pp]\s*\((.*)\)", body)
-    if m:
-        body = m.group(1)
-    out: list[int] = []
-    for tok in body.split(","):
-        tok = tok.strip()
-        if not tok:
-            raise ValueError(f"empty path token in {text!r}")
-        if "*" in tok:
-            raw_count, _, raw_m = tok.partition("*")
-            count = int(raw_count.strip())
-            value = int(raw_m.strip())
-            if count < 1:
-                raise ValueError(f"repetition count must be positive in {tok!r}")
-            out.extend([value] * count)
-        else:
-            out.append(int(tok))
-    return tuple(out)
-
-
-def theta_graph(spec: ThetaSpec) -> Graph:
+def theta_graph(spec: Sequence[int]) -> Graph:
     """Two hubs joined by internally disjoint paths with the given internal counts.
 
     At most one path may have zero internal vertices (that path is a bare
     hub-hub edge; two of them would be a parallel edge), and a single path
     must have at least one.
     """
-    ms = parse_theta_spec(spec) if isinstance(spec, str) else tuple(spec)
+    ms = tuple(spec)
     if len(ms) < 1:
         raise ValueError("need at least one path")
     if any(m < 0 for m in ms):
@@ -84,29 +60,6 @@ def theta_graph(spec: ThetaSpec) -> Graph:
             nxt += 1
         edges.append((prev, 1))
     return Graph.from_edges(labels, edges)
-
-
-def is_minimally_two_connected(g: Graph) -> bool:
-    """2-connected, and every single edge removal destroys 2-connectivity.
-
-    g is 2-connected iff the block search finds one block covering all of its
-    n >= 3 vertices.  Dropping an edge leaves a 2-connected graph connected,
-    so the edge is needed iff the search then finds more than one block.
-    """
-    if g.order < 3:
-        return False
-    blocks, _ = _dfs_engine(g.neighbors, root=0)
-    if len(blocks) != 1 or len(blocks[0]) != g.order:
-        return False
-    neighbors = list(g.neighbors)
-    for u, v in g.edges():
-        neighbors[u] = tuple(w for w in g.neighbors[u] if w != v)
-        neighbors[v] = tuple(w for w in g.neighbors[v] if w != u)
-        blocks, _ = _dfs_engine(neighbors, root=0)
-        if len(blocks) == 1:
-            return False
-        neighbors[u], neighbors[v] = g.neighbors[u], g.neighbors[v]
-    return True
 
 
 def triangle_free(g: Graph) -> bool:
@@ -226,13 +179,8 @@ def _check_entry(entry: CatalogEntry, source: str) -> None:
         raise CatalogError(f"{source}: coloring uses {used} colors, recorded value is {entry.mvd_value}")
 
 
-def build_catalog(max_order: int, solver: Callable[[Graph], Any]) -> Catalog:
-    """Generate the census up to max_order and solve every entry.
-
-    The solver must return an object with ``value`` and ``coloring``
-    attributes (an exact solver result).  Values are checked against the
-    floor(n/2) bound, which holds from order 4 up.
-    """
+def build_catalog(max_order: int) -> Catalog:
+    """Generate the census up to max_order and solve every entry with ``mvd_exact``."""
     if not GENERATION_MIN_ORDER <= max_order <= GENERATION_MAX_ORDER:
         raise ValueError(
             f"catalog orders run {GENERATION_MIN_ORDER}..{GENERATION_MAX_ORDER}, got {max_order}"
@@ -241,14 +189,8 @@ def build_catalog(max_order: int, solver: Callable[[Graph], Any]) -> Catalog:
     generated = generate_minimal_blocks_up_to(max_order)
     for n in range(GENERATION_MIN_ORDER, max_order + 1):
         for i, g in enumerate(generated[n], start=1):
-            result = solver(g)
-            value: int = result.value
-            coloring: dict[int, int] = result.coloring
-            if n >= 4 and value > n // 2:
-                raise CatalogError(
-                    f"solver value {value} for an order-{n} minimal block exceeds floor(n/2)"
-                )
-            entry = CatalogEntry(f"graph_{n}Vertex-{i}", g, value, coloring)
+            result = mvd_exact(g)
+            entry = CatalogEntry(f"graph_{n}Vertex-{i}", g, result.value, result.coloring)
             _check_entry(entry, entry.id)
             cat.add(entry)
     return cat

@@ -179,7 +179,7 @@ def _cmd_iso(args) -> tuple[list[str], dict, int]:
 
 
 def _cmd_catalog_build(args) -> tuple[list[str], dict, int]:
-    cat = build_catalog(args.max_order, mvd_exact)
+    cat = build_catalog(args.max_order)
     save_catalog(cat, args.out)
     census = census_text(cat)
     with open(f"{args.out}/census.txt", "w", encoding="utf-8") as fh:

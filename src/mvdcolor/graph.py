@@ -357,7 +357,8 @@ def load_graph(path: str) -> tuple[Graph, Optional[dict[int, int]]]:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     first = text.lstrip().split("\n", 1)[0]
-    if first.startswith("n ") or first.startswith("n\t"):
+    # a matrix label line is comma-separated, even when its first label is n
+    if (first.startswith("n ") or first.startswith("n\t")) and "," not in first:
         return parse_edge_list(text), None
     return parse_matrix(text)
 

@@ -166,7 +166,7 @@ def test_criterion_5_minimal_block_census():
 
 def _catalog_order_9(tmp_path_factory=None):
     if "catalog9" not in _cache:
-        _cache["catalog9"] = build_catalog(9, mvd_exact)
+        _cache["catalog9"] = build_catalog(9)
     return _cache["catalog9"]
 
 
@@ -195,7 +195,7 @@ def test_criterion_6_catalog_regeneration(tmp_path):
 @pytest.mark.slow
 def test_criterion_6_catalog_order_10(tmp_path):
     t0 = time.time()
-    cat = build_catalog(10, mvd_exact)
+    cat = build_catalog(10)
     for entry in cat.entries:
         if entry.order >= 4:
             assert entry.mvd_value <= entry.order // 2

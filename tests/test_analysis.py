@@ -72,7 +72,7 @@ def test_bound_blocks_rejects_triangle_blocks():
 def test_catalog_entries_respect_half_order_bound():
     from mvdcolor.catalog import build_catalog
 
-    cat = build_catalog(6, mvd_exact)
+    cat = build_catalog(6)
     for entry in cat.entries:
         rep = bound_half_order(entry.graph)
         if rep.applicable:

@@ -15,14 +15,12 @@ from mvdcolor.catalog import (
     generate_minimal_blocks_up_to,
     is_minimally_two_connected,
     load_catalog,
-    parse_theta_spec,
     save_catalog,
     theta_graph,
     triangle_free,
 )
 from mvdcolor.graph import Graph, complete_graph, cycle_graph, default_labels, induced_subgraph
 from mvdcolor.iso import canonical_form, find_isomorphism
-from mvdcolor.solve import mvd_exact
 from oracles import graphs_of_order, oracle_is_minimally_two_connected
 
 
@@ -38,12 +36,6 @@ def test_theta_graphs():
     assert sorted(k23.degree(v) for v in range(5)) == [2, 2, 2, 3, 3]
     # one bare hub-hub edge closes a cycle
     assert find_isomorphism(theta_graph([1, 0]), cycle_graph(3)) is not None
-
-
-def test_theta_shorthand():
-    assert parse_theta_spec("P(3, 2*1)") == (3, 1, 1)
-    assert parse_theta_spec("2*2, 1") == (2, 2, 1)
-    assert theta_graph("P(2, 1, 1)") == theta_graph([2, 1, 1])
 
 
 def test_theta_rejects_degenerate_specs():
@@ -138,7 +130,7 @@ def test_generation_rejects_out_of_range():
 
 
 def test_build_catalog_small():
-    cat = build_catalog(6, mvd_exact)
+    cat = build_catalog(6)
     counts = {n: len(cat.entries_of_order(n)) for n in (3, 4, 5, 6)}
     assert counts == {3: 1, 4: 1, 5: 2, 6: 3}
     for entry in cat.entries:
@@ -151,7 +143,7 @@ def test_build_catalog_small():
 
 
 def test_build_catalog_known_values():
-    cat = build_catalog(8, mvd_exact)
+    cat = build_catalog(8)
     by_key = {canonical_form(e.graph): e for e in cat.entries}
     assert by_key[canonical_form(cycle_graph(8))].mvd_value == 4
     assert by_key[canonical_form(theta_graph([2, 1, 1]))].mvd_value == 2
@@ -163,7 +155,7 @@ def test_build_catalog_known_values():
 
 
 def test_save_load_round_trip(tmp_path):
-    cat = build_catalog(5, mvd_exact)
+    cat = build_catalog(5)
     save_catalog(cat, str(tmp_path))
     again = load_catalog(str(tmp_path))
     assert len(again) == len(cat)
@@ -184,7 +176,7 @@ def test_load_rejects_tampered_file(tmp_path, data_dir):
 
 
 def test_load_rejects_duplicate_class(tmp_path):
-    cat = build_catalog(4, mvd_exact)
+    cat = build_catalog(4)
     save_catalog(cat, str(tmp_path))
     c4 = cat.entries_of_order(4)[0]
     clone = CatalogEntry("copycat", c4.graph, c4.mvd_value, c4.coloring)
@@ -196,7 +188,7 @@ def test_load_rejects_duplicate_class(tmp_path):
 
 
 def test_lookup_is_isomorphism_invariant():
-    cat = build_catalog(6, mvd_exact)
+    cat = build_catalog(6)
     rng = random.Random(66)
     for entry in cat.entries:
         for _ in range(15):

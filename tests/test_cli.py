@@ -253,6 +253,23 @@ def test_bound_subcommand(c9_file):
     assert "block-formula: applicable, bound = 4" in proc.stdout
 
 
+def test_bound_long_cycle_within_budget(tmp_path):
+    from mvdcolor.graph import cycle_graph, format_edge_list
+
+    path = tmp_path / "c5000.txt"
+    path.write_text(format_edge_list(cycle_graph(5000)))
+    budget = 2.0
+    t0 = time.time()
+    proc = run_cli("bound", str(path))
+    elapsed = time.time() - t0
+    ok = elapsed < budget
+    line = f"bound C5000: {'PASS' if ok else 'FAIL (over budget)'} ({elapsed:.2f}s of {budget:.0f}s budget)"
+    print(line)
+    assert proc.returncode == 0, proc.stderr
+    assert "half-order: applicable, bound = 2500" in proc.stdout
+    assert ok, line
+
+
 def test_export_dot_round_trip(tmp_path, data_dir):
     out = tmp_path / "g.dot"
     proc = run_cli(

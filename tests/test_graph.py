@@ -18,6 +18,7 @@ from mvdcolor.graph import (
     format_matrix,
     induced_subgraph,
     is_connected,
+    load_graph,
     parse_edge_list,
     parse_matrix,
     path_graph,
@@ -109,6 +110,15 @@ def test_edge_list_round_trip():
         parse_edge_list("n 4\na b\nv c\nv d\n")
     with pytest.raises(GraphFormatError, match="single label"):
         parse_edge_list("n 3\na b c\n")
+
+
+@pytest.mark.parametrize("head, coloring", [("n , a, b", None), ("n :1, a:2, b:1", {0: 1, 1: 2, 2: 1})])
+def test_matrix_with_first_label_n_is_not_read_as_edge_list(tmp_path, head, coloring):
+    path = tmp_path / "p3.txt"
+    path.write_text(head + "\n0, 1, 0\n1, 0, 1\n0, 1, 0\n")
+    g, colors = load_graph(str(path))
+    assert g == Graph.from_edges(["n", "a", "b"], [(0, 1), (1, 2)])
+    assert colors == coloring
 
 
 _edge_list_label = st.one_of(

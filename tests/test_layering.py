@@ -1,0 +1,48 @@
+"""The package's import layers, read from the source with ``ast``.
+
+Only module-level ``from .x import`` statements count; imports under
+``if TYPE_CHECKING:`` are for annotations and never run.
+"""
+
+from __future__ import annotations
+
+import ast
+import graphlib
+from pathlib import Path
+
+SRC = Path(__file__).parent.parent / "src" / "mvdcolor"
+
+
+def _relative_imports(body: list[ast.stmt]) -> set[str]:
+    found: set[str] = set()
+    for node in body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            found.add(node.module)
+        elif isinstance(node, ast.If):
+            if not (isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING"):
+                found |= _relative_imports(node.body) | _relative_imports(node.orelse)
+    return found
+
+
+def _import_graph() -> dict[str, set[str]]:
+    return {
+        path.stem: _relative_imports(ast.parse(path.read_text(encoding="utf-8")).body)
+        for path in sorted(SRC.glob("*.py"))
+    }
+
+
+def test_import_graph_is_acyclic():
+    graph = _import_graph()
+    assert {"blocks", "catalog", "solve"} <= graph.keys()
+    graphlib.TopologicalSorter(graph).prepare()  # raises CycleError on a cycle
+
+
+def test_solver_does_not_import_the_catalog_at_run_time():
+    graph = _import_graph()
+    assert "blocks" in graph["solve"]
+    assert "catalog" not in graph["solve"]
+
+
+def test_block_search_is_private_to_blocks():
+    users = sorted(p.name for p in SRC.glob("*.py") if "_dfs_engine" in p.read_text(encoding="utf-8"))
+    assert users == ["blocks.py"]
