@@ -94,13 +94,9 @@ def generate_minimal_blocks_up_to(max_order: int) -> dict[int, list[Graph]]:
         raise ValueError(
             f"generation supports orders {GENERATION_MIN_ORDER}..{GENERATION_MAX_ORDER}, got {max_order}"
         )
-    levels: dict[int, dict[str, Graph]] = {
-        n: {} for n in range(GENERATION_MIN_ORDER, max_order + 1)
-    }
-    for n in range(GENERATION_MIN_ORDER, max_order + 1):
-        cyc = cycle_graph(n)
-        levels[n][canonical_form(cyc)] = cyc
-    for n in range(GENERATION_MIN_ORDER, max_order + 1):
+    orders = range(GENERATION_MIN_ORDER, max_order + 1)
+    levels = {n: {canonical_form(cycle_graph(n)): cycle_graph(n)} for n in orders}
+    for n in orders:
         for smaller in range(GENERATION_MIN_ORDER, n):
             for g in levels[smaller].values():
                 for candidate in _ear_extensions(g, n - smaller):
@@ -108,10 +104,7 @@ def generate_minimal_blocks_up_to(max_order: int) -> dict[int, list[Graph]]:
                         continue
                     key = canonical_form(candidate)
                     levels[n].setdefault(key, candidate)
-    return {
-        n: [levels[n][key] for key in sorted(levels[n])]
-        for n in range(GENERATION_MIN_ORDER, max_order + 1)
-    }
+    return {n: [levels[n][key] for key in sorted(levels[n])] for n in orders}
 
 
 def generate_minimal_blocks(n: int) -> list[Graph]:
@@ -174,9 +167,6 @@ def _check_entry(entry: CatalogEntry, source: str) -> None:
             f"{source}: stored coloring fails verification "
             f"(no monochromatic cut for {entry.graph.labels[x]!r},{entry.graph.labels[y]!r})"
         )
-    used = color_count(entry.coloring)
-    if used != entry.mvd_value:
-        raise CatalogError(f"{source}: coloring uses {used} colors, recorded value is {entry.mvd_value}")
 
 
 def build_catalog(max_order: int) -> Catalog:
@@ -226,17 +216,9 @@ def load_catalog(directory: str) -> Catalog:
             text = fh.read()
         try:
             g, coloring = parse_matrix(text)
-        except ValueError as exc:
-            raise CatalogError(f"{name}: {exc}") from exc
-        if coloring is None:
-            raise CatalogError(f"{name}: entry carries no coloring")
-        entry = CatalogEntry(
-            id=name[: -len(".txt")],
-            graph=g,
-            mvd_value=color_count(coloring),
-            coloring=coloring,
-        )
-        try:
+            if coloring is None:
+                raise ValueError("entry carries no coloring")
+            entry = CatalogEntry(name[: -len(".txt")], g, color_count(coloring), coloring)
             _check_entry(entry, name)
             cat.add(entry)
         except CatalogError:

@@ -48,13 +48,9 @@ def _digest_line(g: Graph) -> str:
 def renumber_colors(g: Graph, coloring: dict[int, int]) -> dict[int, int]:
     """Renumber colors 1..k in first-appearance order over vertex indices."""
     mapping: dict[int, int] = {}
-    out = {}
     for v in range(g.order):
-        c = coloring[v]
-        if c not in mapping:
-            mapping[c] = len(mapping) + 1
-        out[v] = mapping[c]
-    return out
+        mapping.setdefault(coloring[v], len(mapping) + 1)
+    return {v: mapping[coloring[v]] for v in range(g.order)}
 
 
 def _load_coloring_file(path: str, g: Graph) -> dict[int, int]:
@@ -75,10 +71,6 @@ def _load_coloring_file(path: str, g: Graph) -> dict[int, int]:
     return parse_coloring(text, g)
 
 
-def _sorted_block_labels(block_graph: Graph) -> list[str]:
-    return sorted(block_graph.labels)
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers: each returns (text lines, json report, exit code)
 
@@ -91,7 +83,7 @@ def _cmd_decompose(args) -> tuple[list[str], dict, int]:
     lines.append("cut vertices: " + (", ".join(cut_labels) if cut_labels else "(none)"))
     report_blocks = []
     for i, block in enumerate(dec.blocks, start=1):
-        labels = _sorted_block_labels(block.graph)
+        labels = sorted(block.graph.labels)
         kind = "trivial" if block.trivial else "nontrivial"
         lines.append(f"block {i} ({kind}): {', '.join(labels)}")
         ordered = induced_subgraph(g, sorted(block.vertices, key=lambda v: g.labels[v]))
@@ -122,7 +114,7 @@ def _cmd_solve(args) -> tuple[list[str], dict, int]:
     report_blocks = []
     if result.decomposition is not None:
         for i, (block, how) in enumerate(zip(result.decomposition.blocks, result.block_methods), start=1):
-            labels = _sorted_block_labels(block.graph)
+            labels = sorted(block.graph.labels)
             lines.append(f"block {i} {{{', '.join(labels)}}}: {how}")
             report_blocks.append({"labels": labels, "method": how})
     lines.append("coloring:")

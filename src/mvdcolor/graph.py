@@ -170,9 +170,7 @@ def is_complete(g: Graph) -> bool:
 def cycle_order(g: Graph) -> Optional[list[int]]:
     """Vertices of g in cyclic order if g is a cycle of order >= 3, else None."""
     n = g.order
-    if n < 3 or g.size != n or any(g.degree(v) != 2 for v in range(n)):
-        return None
-    if not is_connected(g):
+    if n < 3 or g.size != n or any(g.degree(v) != 2 for v in range(n)) or not is_connected(g):
         return None
     walk = [0, g.neighbors[0][0]]
     while len(walk) < n:
@@ -194,8 +192,8 @@ def parse_matrix(text: str) -> tuple[Graph, Optional[dict[int, int]]]:
 
     Line 1 holds comma-separated labels, each optionally ``label:color`` with a
     positive integer color.  Lines 2..n+1 hold comma-separated 0/1 entries of a
-    symmetric, zero-diagonal n x n matrix.  Returns the graph plus the coloring
-    when every label carries one.
+    symmetric, zero-diagonal n x n matrix.  Either every label carries a color
+    or none does.  Returns the graph plus the coloring, or None without colors.
     """
     lines = [ln for ln in text.splitlines()]
     while lines and not lines[-1].strip():
@@ -227,6 +225,9 @@ def parse_matrix(text: str) -> tuple[Graph, Optional[dict[int, int]]]:
         else:
             labels.append(tok)
             colors.append(None)
+    if None in colors and any(colors):  # colors are positive
+        col = colors.index(None) + 1
+        raise GraphFormatError(f"label {labels[col - 1]!r} has no color, but other labels do", line=1, column=col)
     n = len(labels)
     seen: dict[str, int] = {}
     for col, lab in enumerate(labels, start=1):
@@ -257,9 +258,9 @@ def parse_matrix(text: str) -> tuple[Graph, Optional[dict[int, int]]]:
                 )
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rows[i][j]]
     g = Graph.from_edges(labels, edges)
-    if all(c is not None for c in colors) and n > 0:
-        return g, {v: colors[v] for v in range(n)}  # type: ignore[misc]
-    return g, None
+    if colors[0] is None:
+        return g, None
+    return g, dict(enumerate(colors))  # type: ignore[arg-type]
 
 
 def format_matrix(g: Graph, coloring: Optional[dict[int, int]] = None) -> str:
@@ -373,17 +374,18 @@ _PALETTE = (
 
 
 def to_dot(g: Graph, coloring: Optional[dict[int, int]] = None) -> str:
-    """Graphviz text; colored vertices are filled from a fixed palette."""
+    """Graphviz text, labels escaped; colored vertices are filled from a fixed palette."""
+    quoted = ['"' + lab.replace("\\", "\\\\").replace('"', '\\"') + '"' for lab in g.labels]
     out = ["graph G {"]
     for v in range(g.order):
-        lab = g.labels[v]
+        lab = quoted[v]
         if coloring is not None:
             fill = _PALETTE[(coloring[v] - 1) % len(_PALETTE)]
-            out.append(f'  "{lab}" [label="{lab}", style=filled, fillcolor="{fill}", colorid={coloring[v]}];')
+            out.append(f'  {lab} [label={lab}, style=filled, fillcolor="{fill}", colorid={coloring[v]}];')
         else:
-            out.append(f'  "{lab}" [label="{lab}"];')
+            out.append(f"  {lab} [label={lab}];")
     for u, v in g.edges():
-        out.append(f'  "{g.labels[u]}" -- "{g.labels[v]}";')
+        out.append(f"  {quoted[u]} -- {quoted[v]};")
     out.append("}")
     return "\n".join(out) + "\n"
 

@@ -15,10 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
+from . import verify
 from .blocks import Block, BlockDecomposition, decompose, is_minimally_two_connected
 from .graph import Graph, GuardError, _bits, cycle_order, is_complete, is_connected
 from .iso import transfer_coloring
-from .verify import _require_total, color_count, failing_block, nonadjacent_pairs, partition_passes
+from .verify import _require_total, color_count, pair_rows, partition_passes
 
 if TYPE_CHECKING:
     from .catalog import Catalog
@@ -45,7 +46,7 @@ class MvdResult:
 
 def _walk(
     g: Graph,
-    pairs: Sequence[tuple[int, int]],
+    rows: Sequence[tuple[int, int]],
     memo: dict[int, list[int]],
     masks: list[int],
     v: int,
@@ -61,12 +62,12 @@ def _walk(
     """
     n, k = g.order, len(masks)
     if v == n:
-        return partition_passes(g, masks, pairs, memo)
+        return partition_passes(g, masks, rows, memo)
     bit = 1 << v
     # once the unopened classes need every vertex left, v must open one
     for c in range(used if n - v == k - used else 0, min(used + 1, k)):
         masks[c] |= bit
-        if _walk(g, pairs, memo, masks, v + 1, max(used, c + 1)):
+        if _walk(g, rows, memo, masks, v + 1, max(used, c + 1)):
             return True
         masks[c] ^= bit
     return False
@@ -94,11 +95,11 @@ def mvd_exact(g: Graph) -> MvdResult:
     start = n
     if n >= 4 and is_minimally_two_connected(g):
         start = n // 2
-    pairs = nonadjacent_pairs(g)
+    rows = pair_rows(g)
     memo: dict[int, list[int]] = {}
     for k in range(start, 0, -1):
         masks = [1] + [0] * (k - 1)  # vertex 0 opens class 1
-        if _walk(g, pairs, memo, masks, 1, 1):
+        if _walk(g, rows, memo, masks, 1, 1):
             return MvdResult(k, {v: c + 1 for c, mask in enumerate(masks) for v in _bits(mask)}, "exact")
     raise AssertionError("unreachable: the single-class coloring always passes")
 
@@ -166,14 +167,17 @@ def stitch_colorings(dec: BlockDecomposition, per_block: Sequence[Mapping[int, i
                 next_color += 1
         for local_v, parent_v in enumerate(block.vertices):
             global_coloring[parent_v] = rename[local[local_v]]
-    failed = failing_block(dec.blocks, global_coloring)
-    if failed is not None:
-        block, (x, y) = failed
-        raise ValueError(
-            "block coloring fails verification on block "
-            f"{{{', '.join(sorted(block.graph.labels))}}}: "
-            f"no monochromatic cut for {block.graph.labels[x]!r},{block.graph.labels[y]!r}"
-        )
+    for block in dec.blocks:
+        bg = block.graph
+        # looked up on the module, so a wrapper on verify.is_mvd_coloring sees each check
+        verdict = verify.is_mvd_coloring(bg, {i: global_coloring[v] for i, v in enumerate(block.vertices)})
+        if not verdict.ok:
+            x, y = verdict.witness  # type: ignore[misc]
+            raise ValueError(
+                "block coloring fails verification on block "
+                f"{{{', '.join(sorted(bg.labels))}}}: "
+                f"no monochromatic cut for {bg.labels[x]!r},{bg.labels[y]!r}"
+            )
     return global_coloring
 
 

@@ -5,11 +5,15 @@ separating it.  Such an x-y cut exists iff some full color class C minus
 {x, y} separates x and y (any monochromatic cut sits inside the class of its
 color, and a separating class contains a minimal cut, which is single-colored).
 
-One core, the class view, answers that for every caller.  A pass over the
-bitmask adjacency labels the components of G - C; a vertex in C gets the
-components next to it.  A nonadjacent pair has a cut inside C exactly when its
-two views share no component, whether neither, one or both of x, y lie in C.
-That is O(n + m) per class, then O(1) per pair.
+One core, the class view, answers that for every caller.  One walk over each
+component of G - C gives every vertex x the mask of vertices that C - {x, y}
+leaves joined to x: outside C, its component plus the class vertices next to
+that component; inside C, the union of those masks over the components next to
+x.  A nonadjacent pair has a cut inside C exactly when bit y of x's mask is
+clear, whether neither, one or both of x, y lie in C.  That is O(n + m) per
+class.  The pairs still to check are held as rows, one partner mask per
+vertex, and a class clears what it cuts from a row with one AND, so no pair is
+visited class by class.
 
 Block lemma: a coloring passes on G iff its restriction passes on every block,
 because a pair in two different blocks is separated by a single cut vertex.
@@ -21,8 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .blocks import Block
-from .graph import Graph, _bits, _reach_mask, is_connected
+from .graph import Graph, _bits, is_connected
 
 
 @dataclass(frozen=True)
@@ -50,29 +53,47 @@ def _require_total(g: Graph, coloring: Mapping[int, int]) -> None:
             raise ValueError(f"colors must be positive, got {c}")
 
 
-def nonadjacent_pairs(g: Graph) -> list[tuple[int, int]]:
-    """All nonadjacent pairs, sorted by label so reports are deterministic."""
-    by_label = sorted(range(g.order), key=lambda v: g.labels[v])
-    return [(x, y) for i, x in enumerate(by_label) for y in by_label[i + 1:] if not g.has_edge(x, y)]
+def pair_rows(g: Graph) -> list[tuple[int, int]]:
+    """Every nonadjacent pair once, as rows in label order: for each vertex x,
+    the mask of its nonadjacent partners that follow it by label; empty rows
+    are left out."""
+    rows, later = [], g.full_mask()
+    for x in sorted(range(g.order), key=g.labels.__getitem__):
+        later ^= 1 << x
+        if row := later & ~g.adj_masks[x]:
+            rows.append((x, row))
+    return rows
 
 
 def class_view(g: Graph, class_mask: int) -> list[int]:
-    """Component bits per vertex: outside the class, the bit of its component
-    of g minus the class; inside it, the bits of the components it touches."""
+    """Per vertex x, the mask of vertices that the class minus {x, y} leaves
+    joined to x: outside the class, its component of g minus the class plus
+    the class vertices next to that component; inside it, the union of those
+    masks over the components next to x."""
+    adj = g.adj_masks
     free = g.full_mask() & ~class_mask
-    view = [0] * g.order
-    rest, bit = free, 1
+    joined = [0] * g.order
+    rest = free
     while rest:
-        comp = _reach_mask(g, (rest & -rest).bit_length() - 1, free)
-        rest ^= comp
+        seen = frontier = rest & -rest
         near = 0
-        for v in _bits(comp):
-            view[v] = bit
-            near |= g.adj_masks[v]
-        for v in _bits(near & class_mask):
-            view[v] |= bit
-        bit <<= 1
-    return view
+        members = []
+        while frontier:
+            step = 0
+            for v in _bits(frontier):
+                members.append(v)
+                step |= adj[v]
+            near |= step
+            frontier = step & free & ~seen
+            seen |= frontier
+        rest ^= seen
+        touched = near & class_mask
+        mask = seen | touched
+        for v in members:
+            joined[v] = mask
+        for v in _bits(touched):
+            joined[v] |= mask
+    return joined
 
 
 def _classes(colors: Iterable[int]) -> list[tuple[int, int]]:
@@ -81,19 +102,6 @@ def _classes(colors: Iterable[int]) -> list[tuple[int, int]]:
     for v, c in enumerate(colors):
         masks[c] = masks.get(c, 0) | (1 << v)
     return sorted(masks.items())
-
-
-def _least_color(
-    g: Graph, classes: Sequence[tuple[int, int]], views: list[list[int]], x: int, y: int
-) -> Optional[int]:
-    """Least separating color; views are built on demand, in color order."""
-    for i, (color, class_mask) in enumerate(classes):
-        if i == len(views):
-            views.append(class_view(g, class_mask))
-        view = views[i]
-        if not view[x] & view[y]:
-            return color
-    return None
 
 
 def monochromatic_cut_exists(
@@ -112,12 +120,17 @@ def monochromatic_cut_exists(
     if not is_connected(g):
         raise ValueError("monochromatic cuts are defined on connected graphs")
     _require_total(g, coloring)
-    return _least_color(g, _classes(coloring[v] for v in range(g.order)), [], x, y)
+    for color, class_mask in _classes(coloring[v] for v in range(g.order)):
+        if not class_view(g, class_mask)[x] >> y & 1:
+            return color
+    return None
 
 
 def is_mvd_coloring(g: Graph, coloring: Mapping[int, int]) -> MvdVerdict:
     """Check every nonadjacent pair; complete graphs pass vacuously.
 
+    The classes are swept in ascending color order, each clearing the pairs
+    it cuts from the rows, until every row is empty or the classes run out.
     The witness, when present, is the least failing pair in label order, and
     each certificate color is the least separating one.
     """
@@ -126,44 +139,46 @@ def is_mvd_coloring(g: Graph, coloring: Mapping[int, int]) -> MvdVerdict:
     if not is_connected(g):
         raise ValueError("verification needs a connected graph")
     _require_total(g, coloring)
-    classes = _classes(coloring[v] for v in range(g.order))
-    views: list[list[int]] = []
+    left = pair_rows(g)
+    color_of: dict[int, dict[int, int]] = {x: {} for x, _ in left}  # least cutting color by partner
+    for color, class_mask in _classes(coloring[v] for v in range(g.order)):
+        if not left:
+            break
+        joined = class_view(g, class_mask)
+        still = []
+        for x, row in left:
+            rest = row & joined[x]
+            if rest != row:
+                color_of[x].update(dict.fromkeys(_bits(row ^ rest), color))
+            if rest:
+                still.append((x, rest))
+        left = still
+    by_label = g.labels.__getitem__
+    if left:
+        x, row = left[0]
+        return MvdVerdict(ok=False, witness=(x, min(_bits(row), key=by_label)), certificate=None)
     certificate: dict[tuple[int, int], int] = {}
-    for x, y in nonadjacent_pairs(g):
-        color = _least_color(g, classes, views, x, y)
-        if color is None:
-            return MvdVerdict(ok=False, witness=(x, y), certificate=None)
-        certificate[(x, y)] = color
+    for x, found in color_of.items():
+        certificate.update(((x, y), found[y]) for y in sorted(found, key=by_label))
     return MvdVerdict(ok=True, witness=None, certificate=certificate)
 
 
-def failing_block(
-    blocks: Iterable[Block], coloring: Mapping[int, int]
-) -> Optional[tuple[Block, tuple[int, int]]]:
-    """First block on which the restricted coloring fails, with its witness in
-    block-local indices; None means, by the block lemma, a pass on the graph."""
-    for block in blocks:
-        verdict = is_mvd_coloring(block.graph, {i: coloring[v] for i, v in enumerate(block.vertices)})
-        if not verdict.ok:
-            return block, verdict.witness  # type: ignore[return-value]
-    return None
-
-
 def partition_passes(
-    g: Graph, class_masks: Sequence[int], pairs: Sequence[tuple[int, int]], memo: dict[int, list[int]]
+    g: Graph, class_masks: Sequence[int], rows: Sequence[tuple[int, int]], memo: dict[int, list[int]]
 ) -> bool:
     """``is_mvd_coloring(...).ok`` for the exact search's hot loop, given one
-    bitmask per colour class; ``memo`` keeps class views by class mask across
-    calls on one graph."""
+    bitmask per colour class and the graph's ``pair_rows``; ``memo`` keeps
+    class views by class mask across calls on one graph."""
     views = []
     for class_mask in class_masks:
-        view = memo.get(class_mask)
-        if view is None:
-            view = memo[class_mask] = class_view(g, class_mask)
-        views.append(view)
-    for x, y in pairs:
-        for view in views:
-            if not view[x] & view[y]:
+        joined = memo.get(class_mask)
+        if joined is None:
+            joined = memo[class_mask] = class_view(g, class_mask)
+        views.append(joined)
+    for x, row in rows:
+        for joined in views:
+            row &= joined[x]
+            if not row:
                 break
         else:
             return False

@@ -175,6 +175,14 @@ def test_load_rejects_tampered_file(tmp_path, data_dir):
         load_catalog(str(tmp_path))
 
 
+def test_load_rejects_partially_colored_file(tmp_path, data_dir):
+    target = tmp_path / "graph_9Vertex-9.txt"
+    text = (data_dir / "typeset9" / "graph_9Vertex-9.txt").read_text()
+    target.write_text(text.replace("c:1", "c", 1))
+    with pytest.raises(CatalogError, match="graph_9Vertex-9.txt: label 'c' has no color"):
+        load_catalog(str(tmp_path))
+
+
 def test_load_rejects_duplicate_class(tmp_path):
     cat = build_catalog(4)
     save_catalog(cat, str(tmp_path))

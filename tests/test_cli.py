@@ -117,6 +117,14 @@ def test_verify_rejects_partial_coloring(tmp_path):
     assert proc.returncode == 2
 
 
+def test_verify_rejects_partially_colored_matrix(tmp_path):
+    graph = tmp_path / "p3.txt"
+    graph.write_text("a:1, b, c:2\n0, 1, 0\n1, 0, 1\n0, 1, 0\n")
+    proc = run_cli("verify", str(graph))
+    assert proc.returncode == 2
+    assert "label 'b' has no color, but other labels do (line 1, column 2)" in proc.stderr
+
+
 def test_verify_accepts_colored_matrix(data_dir):
     proc = run_cli("verify", str(data_dir / "typeset9" / "graph_9Vertex-9.txt"))
     assert proc.returncode == 0

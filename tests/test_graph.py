@@ -201,6 +201,28 @@ def test_dot_round_trips_labels_and_classes():
     assert '"a" -- "b";' in text
 
 
+def test_dot_escapes_quotes_and_backslashes():
+    g = Graph.from_edges(["a\"x", "b\\"], [(0, 1)])
+    for coloring in (None, {0: 1, 1: 2}):
+        text = to_dot(g, coloring)
+        body = text.split("\n", 1)[1]
+        quoted_string = r'"(?:[^"\\]|\\.)*"'
+        quoted = re.findall(quoted_string, body)
+        # no stray double quote outside the quoted strings
+        assert '"' not in re.sub(quoted_string, "", body)
+        labels = {re.sub(r"\\(.)", r"\1", q[1:-1]) for q in quoted if not q.startswith('"#')}
+        assert labels == {"a\"x", "b\\"}
+
+
+def test_parse_rejects_partially_colored_labels():
+    with pytest.raises(GraphFormatError, match="label 'b' has no color") as err:
+        parse_matrix("a:1, b, c:2\n0, 1, 0\n1, 0, 1\n0, 1, 0\n")
+    assert (err.value.line, err.value.column) == (1, 2)
+    with pytest.raises(GraphFormatError, match="label 'a' has no color") as err:
+        parse_matrix("a, b:1\n0, 1\n1, 0\n")
+    assert (err.value.line, err.value.column) == (1, 1)
+
+
 def test_graph_rejects_bad_structure():
     with pytest.raises(ValueError):
         Graph.from_edges(["a", "b"], [(0, 0)])

@@ -31,7 +31,7 @@ from mvdcolor.solve import (
     mvd_via_blocks,
     stitch_colorings,
 )
-from mvdcolor.verify import color_count, failing_block, is_mvd_coloring, restrict
+from mvdcolor.verify import color_count, is_mvd_coloring, restrict
 from builders import attach_blocks, random_cactus, random_connected_graph, random_tree
 from oracles import all_set_partitions, oracle_is_mvd, partitions_into_k_classes
 
@@ -134,14 +134,14 @@ def test_exact_walk_matches_reference_search():
 
 
 def test_fast_assignment_check_matches_public_verifier():
-    from mvdcolor.verify import _classes, nonadjacent_pairs, partition_passes
+    from mvdcolor.verify import _classes, pair_rows, partition_passes
 
     rng = random.Random(59)
     for trial in range(80):
         g = random_connected_graph(rng, rng.randint(2, 7))
         colors = tuple(rng.randint(1, 3) for _ in range(g.order))
         masks = [mask for _, mask in _classes(colors)]
-        fast = partition_passes(g, masks, nonadjacent_pairs(g), {})
+        fast = partition_passes(g, masks, pair_rows(g), {})
         slow = is_mvd_coloring(g, {v: colors[v] for v in range(g.order)}).ok
         assert fast == slow
 
@@ -332,10 +332,24 @@ def test_block_solve_scales_to_long_paths_and_cacti():
         )
         print(line)
         assert res.value == want
-        assert failing_block(res.decomposition.blocks, res.coloring) is None
-        if g.order < 1000:  # the whole-graph verifier is cubic on long paths
+        for block in res.decomposition.blocks:
+            assert is_mvd_coloring(block.graph, {i: res.coloring[v] for i, v in enumerate(block.vertices)}).ok
+        if g.order < 1000:  # whole-graph verification builds one O(n) class view per colour: n of them here
             assert is_mvd_coloring(g, res.coloring).ok
         assert ok, line
+
+
+def test_long_cycle_solves_within_budget():
+    g = cycle_graph(1500)
+    budget = 12.0
+    t0 = time.time()
+    res = mvd_via_blocks(g)
+    elapsed = time.time() - t0
+    ok = elapsed < budget
+    line = f"solve C1500: {'PASS' if ok else 'FAIL (over budget)'} ({elapsed:.2f}s of {budget:.0f}s budget)"
+    print(line)
+    assert res.value == 750 and res.block_methods == ("closed-form",)
+    assert ok, line
 
 
 def test_via_blocks_guard_names_the_block():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -18,6 +19,7 @@ from mvdcolor.graph import (
     path_graph,
 )
 from mvdcolor.verify import (
+    class_view,
     color_count,
     is_mvd_coloring,
     monochromatic_cut_exists,
@@ -216,3 +218,35 @@ def test_block_lemma_verdict_is_the_conjunction_over_blocks():
         assert verdict == all(per_block)
         seen.add(verdict)
     assert seen == {True, False}
+
+
+def test_class_view_matches_the_separation_oracle():
+    # bit y of joined[x] is clear iff the class minus {x, y} separates x and y
+    rng = random.Random(3119)
+    inside = {(False, False): 0, (True, False): 0, (False, True): 0, (True, True): 0}
+    for trial in range(120):
+        g = random_connected_graph(rng, rng.randint(2, 9))
+        class_mask = rng.getrandbits(g.order)
+        joined = class_view(g, class_mask)
+        for x in range(g.order):
+            for y in range(g.order):
+                if x == y or g.has_edge(x, y):
+                    continue
+                cut = {v for v in range(g.order) if class_mask >> v & 1} - {x, y}
+                assert (not joined[x] >> y & 1) == oracle_separates(g, cut, x, y)
+                inside[(bool(class_mask >> x & 1), bool(class_mask >> y & 1))] += 1
+    assert all(inside.values())
+
+
+def test_long_path_verifies_within_budget():
+    n = 1000
+    g = path_graph(n)
+    budget = 10.0
+    t0 = time.time()
+    verdict = is_mvd_coloring(g, {v: v + 1 for v in range(n)})
+    elapsed = time.time() - t0
+    ok = elapsed < budget
+    line = f"verify P{n}: {'PASS' if ok else 'FAIL (over budget)'} ({elapsed:.2f}s of {budget:.0f}s budget)"
+    print(line)
+    assert verdict.ok and len(verdict.certificate) == n * (n - 1) // 2 - (n - 1)
+    assert ok, line
