@@ -6,8 +6,9 @@ one internal vertex, filtering with ``blocks.is_minimally_two_connected`` at
 every order and deduplicating by canonical form.  Every minimal block that
 is not a cycle admits an ear decomposition whose ears all keep a degree-2
 vertex, so single-ear extensions of smaller minimal blocks reach the whole
-class.  ``build_catalog`` solves each census block with ``mvd_exact`` and
-checks the stored coloring before indexing it.
+class.  ``build_catalog`` solves each census block with ``mvd_exact``;
+``Catalog.add``, the one way into a catalog, verifies every stored coloring
+before indexing it, so built and loaded entries are checked alike.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .verify import color_count, is_mvd_coloring
 
 GENERATION_MIN_ORDER = 3
 GENERATION_MAX_ORDER = 10
+CENSUS_FILE = "census.txt"  # the per-order summary beside the entry files
 
 
 class CatalogError(ValueError):
@@ -114,27 +116,39 @@ def generate_minimal_blocks(n: int) -> list[Graph]:
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """A graph with a known value and a certified coloring."""
+    """A graph with a coloring; ``Catalog.add`` certifies the coloring."""
 
     id: str
     graph: Graph
-    mvd_value: int
     coloring: dict[int, int]
 
     @property
     def order(self) -> int:
         return self.graph.order
 
+    @property
+    def mvd_value(self) -> int:
+        """The number of colors the coloring uses, the value it certifies."""
+        return color_count(self.coloring)
+
 
 @dataclass
 class Catalog:
-    """Entries indexed by their canonically relabelled graphs; no two entries are isomorphic."""
+    """Entries indexed by their canonically relabelled graphs; ``add``, the only
+    way in, keeps every coloring passing and no two entries isomorphic."""
 
     entries: list[CatalogEntry] = field(default_factory=list)
     _by_canon: dict[tuple, tuple[CatalogEntry, list[int]]] = field(default_factory=dict, repr=False)
     _max_order: int = field(default=0, repr=False)
 
     def add(self, entry: CatalogEntry) -> None:
+        verdict = is_mvd_coloring(entry.graph, entry.coloring)
+        if not verdict.ok:
+            x, y = verdict.witness  # type: ignore[misc]
+            labels = entry.graph.labels
+            raise CatalogError(
+                f"stored coloring fails verification (no monochromatic cut for {labels[x]!r},{labels[y]!r})"
+            )
         order, key = canonical_labelling(entry.graph)
         if key in self._by_canon:
             raise CatalogError(
@@ -159,55 +173,37 @@ class Catalog:
         return len(self.entries)
 
 
-def _check_entry(entry: CatalogEntry, source: str) -> None:
-    verdict = is_mvd_coloring(entry.graph, entry.coloring)
-    if not verdict.ok:
-        x, y = verdict.witness  # type: ignore[misc]
-        raise CatalogError(
-            f"{source}: stored coloring fails verification "
-            f"(no monochromatic cut for {entry.graph.labels[x]!r},{entry.graph.labels[y]!r})"
-        )
-
-
 def build_catalog(max_order: int) -> Catalog:
     """Generate the census up to max_order and solve every entry with ``mvd_exact``."""
-    if not GENERATION_MIN_ORDER <= max_order <= GENERATION_MAX_ORDER:
-        raise ValueError(
-            f"catalog orders run {GENERATION_MIN_ORDER}..{GENERATION_MAX_ORDER}, got {max_order}"
-        )
     cat = Catalog()
     generated = generate_minimal_blocks_up_to(max_order)
     for n in range(GENERATION_MIN_ORDER, max_order + 1):
         for i, g in enumerate(generated[n], start=1):
-            result = mvd_exact(g)
-            entry = CatalogEntry(f"graph_{n}Vertex-{i}", g, result.value, result.coloring)
-            _check_entry(entry, entry.id)
-            cat.add(entry)
+            cat.add(CatalogEntry(f"graph_{n}Vertex-{i}", g, mvd_exact(g).coloring))
     return cat
 
 
 def save_catalog(cat: Catalog, directory: str) -> list[str]:
-    """One matrix-with-colors file per entry, named after the entry id."""
+    """One matrix-with-colors file per entry, named after the entry id, then
+    the census summary; returns the paths written."""
     os.makedirs(directory, exist_ok=True)
-    written = []
-    for entry in cat.entries:
-        path = os.path.join(directory, f"{entry.id}.txt")
+    files = [(f"{e.id}.txt", format_matrix(e.graph, e.coloring)) for e in cat.entries]
+    files.append((CENSUS_FILE, census_text(cat)))
+    written = [os.path.join(directory, name) for name, _ in files]
+    for path, (_, text) in zip(written, files):
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(format_matrix(entry.graph, entry.coloring))
-        written.append(path)
+            fh.write(text)
     return written
 
 
 def load_catalog(directory: str) -> Catalog:
-    """Read every entry file, re-verify, and index; errors name the file.
+    """Read every entry file but the census and add it; errors name the file.
 
     An entry's value is the number of colors its stored coloring uses.
     Entries need not be minimal blocks; any graph with a passing coloring loads.
     """
     cat = Catalog()
-    names = sorted(
-        f for f in os.listdir(directory) if f.endswith(".txt") and f != "census.txt"
-    )
+    names = sorted(f for f in os.listdir(directory) if f.endswith(".txt") and f != CENSUS_FILE)
     if not names:
         raise CatalogError(f"no catalog files in {directory!r}")
     for name in names:
@@ -218,11 +214,7 @@ def load_catalog(directory: str) -> Catalog:
             g, coloring = parse_matrix(text)
             if coloring is None:
                 raise ValueError("entry carries no coloring")
-            entry = CatalogEntry(name[: -len(".txt")], g, color_count(coloring), coloring)
-            _check_entry(entry, name)
-            cat.add(entry)
-        except CatalogError:
-            raise
+            cat.add(CatalogEntry(name[: -len(".txt")], g, coloring))
         except ValueError as exc:
             raise CatalogError(f"{name}: {exc}") from exc
     return cat

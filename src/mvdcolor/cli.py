@@ -173,10 +173,7 @@ def _cmd_iso(args) -> tuple[list[str], dict, int]:
 def _cmd_catalog_build(args) -> tuple[list[str], dict, int]:
     cat = build_catalog(args.max_order)
     save_catalog(cat, args.out)
-    census = census_text(cat)
-    with open(f"{args.out}/census.txt", "w", encoding="utf-8") as fh:
-        fh.write(census)
-    lines = census.rstrip("\n").split("\n")
+    lines = census_text(cat).rstrip("\n").split("\n")
     lines.append(f"wrote {len(cat)} entries to {args.out}")
     report = {
         "max_order": args.max_order,

@@ -281,17 +281,17 @@ def parse_edge_list(text: str) -> Graph:
     A line of two labels is an edge; a line of one label declares that vertex,
     which is how isolated vertices are written.
     """
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
+    # numbered as in the file, blank lines skipped
+    lines = [(lineno, raw.split()) for lineno, raw in enumerate(text.splitlines(), start=1) if raw.strip()]
     if not lines:
         raise GraphFormatError("empty edge-list file", line=1)
-    head = lines[0].split()
+    head_line, head = lines[0]
     if len(head) != 2 or head[0] != "n":
-        raise GraphFormatError("first line must be 'n <count>'", line=1)
+        raise GraphFormatError("first line must be 'n <count>'", line=head_line)
     try:
         n = int(head[1])
     except ValueError:
-        raise GraphFormatError(f"bad vertex count {head[1]!r}", line=1) from None
+        raise GraphFormatError(f"bad vertex count {head[1]!r}", line=head_line) from None
     labels: list[str] = []
     index: dict[str, int] = {}
 
@@ -302,8 +302,8 @@ def parse_edge_list(text: str) -> Graph:
         return index[lab]
 
     edges: list[tuple[int, int]] = []
-    for lineno, ln in enumerate(lines[1:], start=2):
-        parts = [intern(lab) for lab in ln.split()]
+    for lineno, tokens in lines[1:]:
+        parts = [intern(lab) for lab in tokens]
         if len(parts) == 1:
             continue
         if len(parts) != 2:
@@ -313,7 +313,7 @@ def parse_edge_list(text: str) -> Graph:
             raise GraphFormatError("self-loop", line=lineno)
         edges.append((u, v))
     if len(labels) != n:
-        raise GraphFormatError(f"declared {n} vertices, found {len(labels)}", line=1)
+        raise GraphFormatError(f"declared {n} vertices, found {len(labels)}", line=head_line)
     return Graph.from_edges(labels, set((min(u, v), max(u, v)) for u, v in edges))
 
 

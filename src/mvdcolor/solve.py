@@ -32,7 +32,8 @@ class MvdResult:
     """A value, a certified coloring, and how it was obtained.
 
     ``method`` is ``exact``, ``closed-form`` or ``block-composed`` on
-    top-level results and ``catalog`` on per-block transfers;
+    top-level results; ``solve_block``'s results carry the trail entry
+    instead (``trivial``, ``catalog:<id>``, ``closed-form`` or ``exact``).
     ``block_methods`` carries the per-block trail and ``decomposition`` the
     blocks it refers to when the block pipeline produced the result.
     """
@@ -46,28 +47,30 @@ class MvdResult:
 
 def _walk(
     g: Graph,
+    n: int,
     rows: Sequence[tuple[int, int]],
     memo: dict[int, list[int]],
     masks: list[int],
     v: int,
     used: int,
 ) -> bool:
-    """Colour vertices v onward into the classes of ``masks``, classes 1..used
-    open, in restricted-growth order; True, with ``masks`` holding it, at the
-    first partition into exactly ``len(masks)`` classes that passes.
+    """Colour vertices v..n-1 (n is g's order) into the classes of ``masks``,
+    classes 1..used open, in restricted-growth order; True, with ``masks``
+    holding it, at the first partition into exactly ``len(masks)`` classes
+    that passes.
 
     A module function, not a closure in ``mvd_exact``: a recursive closure is
     a reference cycle, which would hold the view memo until the cycle
     collector runs.
     """
-    n, k = g.order, len(masks)
+    k = len(masks)
     if v == n:
         return partition_passes(g, masks, rows, memo)
     bit = 1 << v
     # once the unopened classes need every vertex left, v must open one
     for c in range(used if n - v == k - used else 0, min(used + 1, k)):
         masks[c] |= bit
-        if _walk(g, rows, memo, masks, v + 1, max(used, c + 1)):
+        if _walk(g, n, rows, memo, masks, v + 1, max(used, c + 1)):
             return True
         masks[c] ^= bit
     return False
@@ -84,6 +87,13 @@ def mvd_exact(g: Graph) -> MvdResult:
     partition is all singletons (so a complete graph gets n distinct
     colours), or at floor(n/2), the known upper bound, when the input is
     minimally 2-connected of order >= 4.
+
+    Coarsening monotonicity: merging two classes C and D of a passing
+    partition gives a passing partition.  If C - {x, y} separates a
+    nonadjacent pair x, y, then so does its superset (C u D) - {x, y}, which
+    still avoids x and y.  So a passing k-partition yields a passing
+    (k-1)-partition, and the class counts that pass run 1..mvd(G) without a
+    gap.
     """
     n = g.order
     if n < 2:
@@ -99,7 +109,7 @@ def mvd_exact(g: Graph) -> MvdResult:
     memo: dict[int, list[int]] = {}
     for k in range(start, 0, -1):
         masks = [1] + [0] * (k - 1)  # vertex 0 opens class 1
-        if _walk(g, rows, memo, masks, 1, 1):
+        if _walk(g, n, rows, memo, masks, 1, 1):
             return MvdResult(k, {v: c + 1 for c, mask in enumerate(masks) for v in _bits(mask)}, "exact")
     raise AssertionError("unreachable: the single-class coloring always passes")
 
@@ -181,24 +191,23 @@ def stitch_colorings(dec: BlockDecomposition, per_block: Sequence[Mapping[int, i
     return global_coloring
 
 
-def solve_block(block: Block, catalog: Optional[Catalog]) -> tuple[MvdResult, str]:
+def solve_block(block: Block, catalog: Optional[Catalog]) -> MvdResult:
     """Solve one block: trivial, catalog lookup, closed form, then exact.
 
-    Catalog transfers are tagged with the per-block method ``catalog``; the
-    trail string names the matched entry.
+    The result's ``method`` is the block's trail entry: ``trivial``,
+    ``catalog:<id>`` naming the matched entry, ``closed-form`` or ``exact``.
     """
     bg = block.graph
     if block.trivial:
-        return MvdResult(2, {0: 1, 1: 2}, "closed-form"), "trivial"
+        return MvdResult(2, {0: 1, 1: 2}, "trivial")
     if catalog is not None:
         hit = catalog.lookup(bg)
         if hit is not None:
             entry, mapping = hit
-            coloring = transfer_coloring(mapping, entry.coloring)
-            return MvdResult(entry.mvd_value, coloring, "catalog"), f"catalog:{entry.id}"
+            return MvdResult(entry.mvd_value, transfer_coloring(mapping, entry.coloring), f"catalog:{entry.id}")
     closed = mvd_closed_form(bg)
     if closed is not None:
-        return closed, "closed-form"
+        return closed
     if bg.order > MAX_EXACT_ORDER:
         raise GuardError(
             "block {"
@@ -206,7 +215,7 @@ def solve_block(block: Block, catalog: Optional[Catalog]) -> tuple[MvdResult, st
             + f"}} has order {bg.order}: beyond the exact-solver guard "
             f"({MAX_EXACT_ORDER}) with no catalog or closed-form match"
         )
-    return mvd_exact(bg), "exact"
+    return mvd_exact(bg)
 
 
 def mvd_via_blocks(g: Graph, catalog: Optional[Catalog] = None) -> MvdResult:
@@ -221,17 +230,13 @@ def mvd_via_blocks(g: Graph, catalog: Optional[Catalog] = None) -> MvdResult:
     if not is_connected(g):
         raise ValueError("mvd is defined for connected graphs")
     dec = decompose(g)
-    solved: list[MvdResult] = []
-    trail: list[str] = []
-    for block in dec.blocks:
-        res, how = solve_block(block, catalog)
-        solved.append(res)
-        trail.append(how)
+    solved = [solve_block(block, catalog) for block in dec.blocks]
     value = mvd_compose(dec, solved)
     coloring = stitch_colorings(dec, [res.coloring for res in solved])
     if color_count(coloring) != value:
         raise AssertionError("stitched coloring does not use the composed number of colors")
-    return MvdResult(value, coloring, "block-composed", block_methods=tuple(trail), decomposition=dec)
+    trail = tuple(res.method for res in solved)
+    return MvdResult(value, coloring, "block-composed", block_methods=trail, decomposition=dec)
 
 
 # Cycles and complete graphs are single blocks that ``solve_block`` solves in

@@ -131,7 +131,7 @@ def _criterion_4_results():
             blockwise = mvd_via_blocks(g)
             exact = mvd_exact(g)
             dec = decompose(g)
-            values = [solve_block(b, None)[0].value for b in dec.blocks]
+            values = [solve_block(b, None).value for b in dec.blocks]
             rows.append((g, dec, values, blockwise, exact))
         _cache["c4_results"] = rows
     return _cache["c4_results"]
@@ -213,7 +213,7 @@ def _criterion_7_results():
             g = random_cactus(rng, rng.randint(1, 5), even_only=True)
             res = mvd_via_blocks(g)
             dec = decompose(g)
-            values = [solve_block(b, None)[0].value for b in dec.blocks]
+            values = [solve_block(b, None).value for b in dec.blocks]
             cactus_rows.append((g, dec, values, res))
         levels = generate_minimal_blocks_up_to(7)
         templates = [g for n in range(4, 8) for g in levels[n]] + [path_graph(2)]
@@ -222,7 +222,7 @@ def _criterion_7_results():
             g = attach_blocks(rng, templates, rng.randint(1, 4))
             res = mvd_via_blocks(g)
             dec = decompose(g)
-            values = [solve_block(b, None)[0].value for b in dec.blocks]
+            values = [solve_block(b, None).value for b in dec.blocks]
             gated_rows.append((g, dec, values, res))
         _cache["c7_results"] = (cactus_rows, gated_rows)
     return _cache["c7_results"]

@@ -21,6 +21,7 @@ from mvdcolor.catalog import (
 )
 from mvdcolor.graph import Graph, complete_graph, cycle_graph, default_labels, induced_subgraph
 from mvdcolor.iso import canonical_form, find_isomorphism
+from mvdcolor.solve import mvd_closed_form, mvd_via_blocks
 from oracles import graphs_of_order, oracle_is_minimally_two_connected
 
 
@@ -127,6 +128,10 @@ def test_generation_rejects_out_of_range():
         generate_minimal_blocks(2)
     with pytest.raises(ValueError):
         generate_minimal_blocks(11)
+    with pytest.raises(ValueError, match="orders 3..10, got 2"):
+        build_catalog(2)
+    with pytest.raises(ValueError, match="orders 3..10, got 11"):
+        build_catalog(11)
 
 
 def test_build_catalog_small():
@@ -187,12 +192,42 @@ def test_load_rejects_duplicate_class(tmp_path):
     cat = build_catalog(4)
     save_catalog(cat, str(tmp_path))
     c4 = cat.entries_of_order(4)[0]
-    clone = CatalogEntry("copycat", c4.graph, c4.mvd_value, c4.coloring)
+    clone = CatalogEntry("copycat", c4.graph, c4.coloring)
     extra = Catalog()
     extra.add(clone)
     save_catalog(extra, str(tmp_path))
-    with pytest.raises(CatalogError, match="isomorphic"):
+    with pytest.raises(CatalogError, match="graph_4Vertex-1.txt: entry 'graph_4Vertex-1' is isomorphic"):
         load_catalog(str(tmp_path))
+
+
+def test_add_rejects_a_failing_coloring():
+    c4 = cycle_graph(4)
+    cat = Catalog()
+    with pytest.raises(CatalogError, match="stored coloring fails verification"):
+        cat.add(CatalogEntry("rainbow", c4, {v: v + 1 for v in range(4)}))
+    assert len(cat) == 0 and cat.lookup(c4) is None
+
+
+def test_entry_value_is_its_color_count():
+    c5 = cycle_graph(5)
+    coloring = mvd_closed_form(c5).coloring
+    with pytest.raises(TypeError):
+        CatalogEntry("c5", c5, 3, coloring)  # a value can no longer disagree with the coloring
+    entry = CatalogEntry("c5", c5, coloring)
+    assert entry.mvd_value == 2
+    cat = Catalog()
+    cat.add(entry)
+    result = mvd_via_blocks(c5, cat)
+    assert (result.value, result.block_methods) == (2, ("catalog:c5",))
+
+
+def test_save_writes_the_census_that_load_skips(tmp_path):
+    cat = build_catalog(5)
+    written = save_catalog(cat, str(tmp_path))
+    census = tmp_path / "census.txt"
+    assert str(census) in written and len(written) == len(cat) + 1
+    assert census.read_text(encoding="utf-8") == census_text(cat)
+    assert [e.id for e in load_catalog(str(tmp_path)).entries] == [e.id for e in cat.entries]
 
 
 def test_lookup_is_isomorphism_invariant():

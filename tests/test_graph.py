@@ -19,6 +19,7 @@ from mvdcolor.graph import (
     induced_subgraph,
     is_connected,
     load_graph,
+    parse_coloring,
     parse_edge_list,
     parse_matrix,
     path_graph,
@@ -78,6 +79,37 @@ def test_parse_errors_carry_location(text, fragment, line):
         parse_matrix(text)
     assert fragment in str(err.value)
     assert err.value.line == line
+
+
+P3 = Graph.from_edges(["a", "b", "c"], [(0, 1), (1, 2)])
+TEXT_PARSERS = {
+    "edges": parse_edge_list,
+    "coloring": lambda text: parse_coloring(text, P3),
+}
+
+
+@pytest.mark.parametrize(
+    "fmt, text, fragment, line, column",
+    [
+        ("edges", "", "empty edge-list file", 1, None),
+        ("edges", "\n\nm 3\n", "first line must be 'n <count>'", 3, None),
+        ("edges", "\nn three\na b\n", "bad vertex count 'three'", 2, None),
+        ("edges", "\nn 3\na b\n", "declared 3 vertices, found 2", 2, None),
+        ("edges", "n 3\n\n\na b c\n", "or a single label", 4, None),
+        ("edges", "\n\nn 3\na a\n", "self-loop", 4, None),
+        ("edges", "n 3\na b\n\nb b\n", "self-loop", 4, None),
+        ("coloring", "a:1\n\nb 2\n", "expected label:color, got 'b 2'", 3, 1),
+        ("coloring", "a:1, z:2\n", "unknown label 'z'", 1, 2),
+        ("coloring", "a:1\nb:two\n", "bad color 'two'", 2, 1),
+        ("coloring", "a:0\n", "color must be positive, got 0", 1, 1),
+        ("coloring", "a:1, b:2\n\nc:1, a:2\n", "label 'a' colored twice", 3, 2),
+    ],
+)
+def test_text_parse_errors_carry_location(fmt, text, fragment, line, column):
+    with pytest.raises(GraphFormatError) as err:
+        TEXT_PARSERS[fmt](text)
+    assert fragment in str(err.value)
+    assert (err.value.line, err.value.column) == (line, column)
 
 
 @settings(max_examples=60, deadline=None)

@@ -16,8 +16,9 @@ SRC = Path(__file__).parent.parent / "src" / "mvdcolor"
 def _relative_imports(body: list[ast.stmt]) -> set[str]:
     found: set[str] = set()
     for node in body:
-        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
-            found.add(node.module)
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            # ``from . import verify`` names the module in its aliases
+            found |= {node.module} if node.module else {alias.name for alias in node.names}
         elif isinstance(node, ast.If):
             if not (isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING"):
                 found |= _relative_imports(node.body) | _relative_imports(node.orelse)
@@ -29,6 +30,11 @@ def _import_graph() -> dict[str, set[str]]:
         path.stem: _relative_imports(ast.parse(path.read_text(encoding="utf-8")).body)
         for path in sorted(SRC.glob("*.py"))
     }
+
+
+def test_relative_imports_count_both_forms():
+    tree = ast.parse("from . import verify\nfrom .blocks import decompose\n")
+    assert _relative_imports(tree.body) == {"verify", "blocks"}
 
 
 def test_import_graph_is_acyclic():
