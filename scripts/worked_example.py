@@ -14,7 +14,7 @@ from mvdcolor.blocks import decompose
 from mvdcolor.catalog import load_catalog
 from mvdcolor.graph import load_graph
 from mvdcolor.solve import mvd_via_blocks
-from mvdcolor.verify import color_count, is_mvd_coloring, restrict
+from mvdcolor.verify import is_mvd_coloring
 
 DATA = Path(__file__).parent.parent / "data"
 
@@ -40,7 +40,7 @@ def main() -> None:
     result = mvd_via_blocks(g, catalog)
     print(f"mvd = {result.value}  (methods: {', '.join(result.block_methods)})")
     for i, block in enumerate(dec.blocks, start=1):
-        k = color_count(restrict(result.coloring, block.vertices))
+        k = len({result.coloring[v] for v in block.vertices})
         print(f"block {i} restriction uses {k} colors")
 
     verdict = is_mvd_coloring(g, result.coloring)

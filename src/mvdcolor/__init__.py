@@ -52,7 +52,7 @@ from .solve import (
     mvd_via_blocks,
     stitch_colorings,
 )
-from .verify import MvdVerdict, is_mvd_coloring, monochromatic_cut_exists, restrict
+from .verify import MvdVerdict, is_mvd_coloring, monochromatic_cut_exists
 
 __all__ = [
     "Block",
@@ -93,7 +93,6 @@ __all__ = [
     "mvd_via_blocks",
     "parse_matrix",
     "path_graph",
-    "restrict",
     "save_catalog",
     "star_graph",
     "stitch_colorings",

@@ -6,7 +6,9 @@ one internal vertex, filtering with ``blocks.is_minimally_two_connected`` at
 every order and deduplicating by canonical form.  Every minimal block that
 is not a cycle admits an ear decomposition whose ears all keep a degree-2
 vertex, so single-ear extensions of smaller minimal blocks reach the whole
-class.  ``build_catalog`` solves each census block with ``mvd_exact``;
+class.  Each minimal candidate is labelled once, and a stored block's
+automorphisms from that search leave one ear per orbit of vertex pairs to
+try.  ``build_catalog`` solves each census block with ``mvd_exact``;
 ``Catalog.add``, the one way into a catalog, verifies every stored coloring
 before indexing it, so built and loaded entries are checked alike.
 """
@@ -20,7 +22,7 @@ from typing import Iterable, Optional, Sequence
 
 from .blocks import is_minimally_two_connected
 from .graph import Graph, cycle_graph, default_labels, format_matrix, parse_matrix
-from .iso import canonical_form, canonical_labelling
+from .iso import canonical_labelling
 from .solve import mvd_exact
 from .verify import color_count, is_mvd_coloring
 
@@ -71,23 +73,28 @@ def triangle_free(g: Graph) -> bool:
     return True
 
 
-def _ear_extensions(g: Graph, internal: int) -> Iterable[Graph]:
-    """All graphs from attaching one ear with the given internal vertex count.
+def _ear_extensions(g: Graph, internal: int, automorphisms: Sequence[dict[int, int]]) -> Iterable[Graph]:
+    """g with one ear of ``internal`` new vertices joining the lex-least
+    nonadjacent pair of each orbit of the automorphisms on vertex pairs.
 
-    Ear endpoints are distinct existing vertices (equal endpoints would create
-    a cut vertex).
+    Other pairs of an orbit give isomorphic graphs.  Adjacent ends never give
+    a minimal block: the new graph minus their edge subdivides g, so it stays
+    2-connected.
     """
     n = g.order
     labels = default_labels(n + internal)
-    base = [(u, v) for u, v in g.edges()]
+    base = g.edges()
+    seen: set[tuple[int, int]] = set()
     for a, b in itertools.combinations(range(n), 2):
-        edges = list(base)
-        prev = a
-        for j in range(internal):
-            edges.append((prev, n + j))
-            prev = n + j
-        edges.append((prev, b))
-        yield Graph.from_edges(labels, edges)
+        if (a, b) in seen or g.has_edge(a, b):
+            continue
+        orbit = [(a, b)]
+        for x, y in orbit:  # the list grows while it is read
+            images = {tuple(sorted((p.get(x, x), p.get(y, y)))) for p in automorphisms} - seen
+            seen |= images
+            orbit += images
+        path = [a, *range(n, n + internal), b]
+        yield Graph.from_edges(labels, base + list(zip(path, path[1:])))
 
 
 def generate_minimal_blocks_up_to(max_order: int) -> dict[int, list[Graph]]:
@@ -97,16 +104,17 @@ def generate_minimal_blocks_up_to(max_order: int) -> dict[int, list[Graph]]:
             f"generation supports orders {GENERATION_MIN_ORDER}..{GENERATION_MAX_ORDER}, got {max_order}"
         )
     orders = range(GENERATION_MIN_ORDER, max_order + 1)
-    levels = {n: {canonical_form(cycle_graph(n)): cycle_graph(n)} for n in orders}
+    levels: dict[int, dict[str, tuple[Graph, list]]] = {n: {} for n in orders}  # key: (block, automorphisms)
     for n in orders:
+        seed = canonical_labelling(cycle_graph(n))
+        levels[n][seed.key] = (cycle_graph(n), seed.automorphisms)
         for smaller in range(GENERATION_MIN_ORDER, n):
-            for g in levels[smaller].values():
-                for candidate in _ear_extensions(g, n - smaller):
-                    if not is_minimally_two_connected(candidate):
-                        continue
-                    key = canonical_form(candidate)
-                    levels[n].setdefault(key, candidate)
-    return {n: [levels[n][key] for key in sorted(levels[n])] for n in orders}
+            for g, automorphisms in levels[smaller].values():
+                for candidate in _ear_extensions(g, n - smaller, automorphisms):
+                    if is_minimally_two_connected(candidate):
+                        found = canonical_labelling(candidate)
+                        levels[n].setdefault(found.key, (candidate, found.automorphisms))
+    return {n: [levels[n][key][0] for key in sorted(levels[n])] for n in orders}
 
 
 def generate_minimal_blocks(n: int) -> list[Graph]:
@@ -142,19 +150,24 @@ class Catalog:
     _max_order: int = field(default=0, repr=False)
 
     def add(self, entry: CatalogEntry) -> None:
-        verdict = is_mvd_coloring(entry.graph, entry.coloring)
+        if f"{entry.id}.txt" == CENSUS_FILE:
+            raise CatalogError(f"entry id {entry.id!r} would be saved over the census file")
+        try:
+            verdict = is_mvd_coloring(entry.graph, entry.coloring)
+        except ValueError as exc:
+            raise CatalogError(f"entry {entry.id!r}: {exc}") from exc
         if not verdict.ok:
             x, y = verdict.witness  # type: ignore[misc]
             labels = entry.graph.labels
             raise CatalogError(
                 f"stored coloring fails verification (no monochromatic cut for {labels[x]!r},{labels[y]!r})"
             )
-        order, key = canonical_labelling(entry.graph)
-        if key in self._by_canon:
+        found = canonical_labelling(entry.graph)
+        if found.relabelled in self._by_canon:
             raise CatalogError(
-                f"entry {entry.id!r} is isomorphic to existing entry {self._by_canon[key][0].id!r}"
+                f"entry {entry.id!r} is isomorphic to existing entry {self._by_canon[found.relabelled][0].id!r}"
             )
-        self._by_canon[key] = (entry, order)
+        self._by_canon[found.relabelled] = (entry, found.order)
         self.entries.append(entry)
         self._max_order = max(self._max_order, entry.order)
 
@@ -162,9 +175,9 @@ class Catalog:
         """The entry isomorphic to g and a vertex map onto it, else None; skips graphs past every entry."""
         if g.order > self._max_order:
             return None
-        order, key = canonical_labelling(g)
-        entry, entry_order = self._by_canon.get(key, (None, []))
-        return None if entry is None else (entry, dict(zip(order, entry_order)))
+        found = canonical_labelling(g)
+        entry, entry_order = self._by_canon.get(found.relabelled, (None, []))
+        return None if entry is None else (entry, dict(zip(found.order, entry_order)))
 
     def entries_of_order(self, n: int) -> list[CatalogEntry]:
         return [e for e in self.entries if e.order == n]

@@ -6,13 +6,15 @@ ordered partition until equitable and individualises each vertex of the
 first smallest non-singleton cell in turn; the canonical ordering is the
 discrete leaf whose relabelled graph is least.  It splits cells of mutual
 twins outright, tries one vertex per twin class, and skips images of explored
-subtrees under automorphisms found at leaves.  More than ``MAX_SEARCH_NODES``
-nodes raise ``GuardError``.
+subtrees under automorphisms found at leaves.  It returns those leaf
+automorphisms, with the swap of each vertex and the first of its twin class,
+so callers can prune by symmetry too.  More than ``MAX_SEARCH_NODES`` nodes
+raise ``GuardError``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .graph import Graph, GuardError
 
@@ -79,8 +81,23 @@ def _relabelled(nbrs: Sequence[Sequence[int]], order: Sequence[int]) -> tuple[tu
     return tuple(tuple(sorted(pos[w] for w in nbrs[v])) for v in order)
 
 
-def canonical_labelling(g: Graph) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
-    """The vertices of g in canonical order, and g relabelled by it: equal exactly for isomorphic graphs."""
+class Labelling(NamedTuple):
+    """One canonical search: the canonical vertex order, the graph relabelled by it (equal
+    exactly for isomorphic graphs), and automorphisms it found, each on the points it moves."""
+
+    order: list[int]
+    relabelled: tuple[tuple[int, ...], ...]
+    automorphisms: list[dict[int, int]]
+
+    @property
+    def key(self) -> str:
+        """``n|bits``: the rows of the relabelled graph below the diagonal."""
+        rows = enumerate(map(set, self.relabelled))
+        return f"{len(self.order)}|" + "".join("1" if j in row else "0" for i, row in rows for j in range(i))
+
+
+def canonical_labelling(g: Graph) -> Labelling:
+    """The canonical order of g's vertices, g relabelled by it, and the automorphisms the search found."""
     n, nbrs, twins, nodes = g.order, g.neighbors, _twin_classes(g), 0
     best: Optional[tuple] = None  # (relabelled graph, ordering, branch choices) of the least leaf
     gens: list[dict[int, int]] = []  # automorphisms found at leaves, on the points they move
@@ -127,15 +144,15 @@ def canonical_labelling(g: Graph) -> tuple[list[int], tuple[tuple[int, ...], ...
                 lab, start, end = lab[:], start[:], end[:]
                 _split(lab, start, end, start[w], lambda v: v != w)
                 node = (lab, start, end, path + [w], [start[w]])
-    return best[1], best[0]
+    swaps = [{v: t, t: v} for v, t in enumerate(twins) if t != v]
+    return Labelling(best[1], best[0], gens + swaps)
 
 
 def canonical_form(g: Graph) -> str:
     """Key equal across isomorphic graphs: ``n|bits``, the rows below the diagonal in canonical order."""
     if g.order > CANONICAL_MAX_ORDER:
         raise GuardError(f"canonical form limited to order {CANONICAL_MAX_ORDER}, got {g.order}")
-    rows = map(set, canonical_labelling(g)[1])
-    return f"{g.order}|" + "".join("1" if j in row else "0" for i, row in enumerate(rows) for j in range(i))
+    return canonical_labelling(g).key
 
 
 def find_isomorphism(g: Graph, h: Graph) -> Optional[dict[int, int]]:
@@ -146,8 +163,8 @@ def find_isomorphism(g: Graph, h: Graph) -> Optional[dict[int, int]]:
     """
     if g.order != h.order or g.size != h.size:
         return None
-    (order_g, relabelled_g), (order_h, relabelled_h) = canonical_labelling(g), canonical_labelling(h)
-    return dict(zip(order_g, order_h)) if relabelled_g == relabelled_h else None
+    lg, lh = canonical_labelling(g), canonical_labelling(h)
+    return dict(zip(lg.order, lh.order)) if lg.relabelled == lh.relabelled else None
 
 
 def transfer_coloring(mapping: dict[int, int], source: dict[int, int]) -> dict[int, int]:

@@ -137,7 +137,8 @@ def mvd_compose(dec: BlockDecomposition, per_block: Sequence[MvdResult]) -> int:
 
 
 def counting_formula(dec: BlockDecomposition, block_values: Sequence[int]) -> int:
-    """Tally blocks by value in 2..5 and evaluate 4*n5 + 3*n4 + 2*n3 + n2 + 1."""
+    """Tally blocks by value in 2..5 and evaluate 4*n5 + 3*n4 + 2*n3 + n2 + 1,
+    the paper's counting formula, public as such; the solver never calls it."""
     if len(block_values) != dec.r:
         raise ValueError(f"expected {dec.r} block values, got {len(block_values)}")
     counts = {2: 0, 3: 0, 4: 0, 5: 0}

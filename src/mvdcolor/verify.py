@@ -185,10 +185,5 @@ def partition_passes(
     return True
 
 
-def restrict(coloring: Mapping[int, int], vertices: Iterable[int]) -> dict[int, int]:
-    """Restriction to a vertex subset; colors keep their identities."""
-    return {v: coloring[v] for v in vertices}
-
-
 def color_count(coloring: Mapping[int, int]) -> int:
     return len(set(coloring.values()))

@@ -2,19 +2,21 @@
 
 Everything here goes through definitions directly (subset enumeration,
 permutation search, full partition enumeration) and stays independent of the
-implementation paths it validates.  Two reference helpers that the library
-no longer needs also live here: the restricted-growth partition enumerator
-that the exact search used to draw from, and ``triangle_blocks_value``, which
+implementation paths it validates.  Reference helpers that the library no
+longer needs also live here: the restricted-growth partition enumerator that
+the exact search used to draw from, ``restrict``, the census generator that
+attaches an ear at every vertex pair, and ``triangle_blocks_value``, which
 reads the library's block decomposition.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
-from mvdcolor.blocks import decompose
-from mvdcolor.graph import Graph, default_labels, is_connected
+from mvdcolor.blocks import decompose, is_minimally_two_connected
+from mvdcolor.graph import Graph, cycle_graph, default_labels, is_connected
+from mvdcolor.iso import canonical_form
 
 
 def components(g: Graph, removed: set[int]) -> list[set[int]]:
@@ -163,6 +165,28 @@ def triangle_blocks_value(g: Graph) -> Optional[int]:
         if not (bg.order == 3 and bg.size == 3):
             return None
     return g.order
+
+
+def restrict(coloring: Mapping[int, int], vertices: Iterable[int]) -> dict[int, int]:
+    """Restriction to a vertex subset; colors keep their identities."""
+    return {v: coloring[v] for v in vertices}
+
+
+def every_pair_minimal_blocks_up_to(max_order: int) -> dict[int, list[Graph]]:
+    """The census without symmetry pruning: every smaller block in discovery
+    order gets an ear at every vertex pair, lexicographically; each minimal
+    candidate is keyed by ``canonical_form`` and the first one per key kept."""
+    orders = range(3, max_order + 1)
+    levels = {n: {canonical_form(cycle_graph(n)): cycle_graph(n)} for n in orders}
+    for n in orders:
+        for smaller in range(3, n):
+            for g in levels[smaller].values():
+                for a, b in itertools.combinations(range(g.order), 2):
+                    path = [a, *range(g.order, n), b]
+                    candidate = Graph.from_edges(default_labels(n), g.edges() + list(zip(path, path[1:])))
+                    if is_minimally_two_connected(candidate):
+                        levels[n].setdefault(canonical_form(candidate), candidate)
+    return {n: [levels[n][key] for key in sorted(levels[n])] for n in orders}
 
 
 def brute_force_isomorphism(g: Graph, h: Graph) -> Optional[dict[int, int]]:

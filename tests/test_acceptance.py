@@ -38,10 +38,10 @@ from mvdcolor.solve import (
     mvd_via_blocks,
     solve_block,
 )
-from mvdcolor.verify import color_count, is_mvd_coloring, restrict
+from mvdcolor.verify import color_count, is_mvd_coloring
 from mvdcolor.analysis import bound_blocks, classify
 from builders import attach_blocks, random_cactus, random_tree, random_connected_graph, with_pendants
-from oracles import oracle_is_mvd, partitions_into_k_classes
+from oracles import oracle_is_mvd, partitions_into_k_classes, restrict
 
 DATA = Path(__file__).parent.parent / "data"
 

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import mvdcolor.catalog as catalog_module
 from mvdcolor.catalog import (
     Catalog,
     CatalogEntry,
@@ -20,9 +21,9 @@ from mvdcolor.catalog import (
     triangle_free,
 )
 from mvdcolor.graph import Graph, complete_graph, cycle_graph, default_labels, induced_subgraph
-from mvdcolor.iso import canonical_form, find_isomorphism
+from mvdcolor.iso import canonical_form, canonical_labelling, find_isomorphism
 from mvdcolor.solve import mvd_closed_form, mvd_via_blocks
-from oracles import graphs_of_order, oracle_is_minimally_two_connected
+from oracles import every_pair_minimal_blocks_up_to, graphs_of_order, oracle_is_minimally_two_connected
 
 
 def keyset(graphs):
@@ -103,6 +104,62 @@ def test_census_counts_are_stable():
     assert {n: len(gs) for n, gs in levels.items()} == {
         3: 1, 4: 1, 5: 2, 6: 3, 7: 6, 8: 12, 9: 28,
     }
+
+
+def assert_same_census(max_order):
+    def listing(levels):
+        return {n: [(g.labels, g.neighbors) for g in gs] for n, gs in levels.items()}
+
+    assert listing(generate_minimal_blocks_up_to(max_order)) == listing(every_pair_minimal_blocks_up_to(max_order))
+
+
+def test_orbit_pruning_keeps_the_every_pair_census_to_9():
+    assert_same_census(9)
+
+
+@pytest.mark.slow
+def test_orbit_pruning_keeps_the_every_pair_census_at_10():
+    assert_same_census(10)
+
+
+def ear_ends(g):
+    """The ends of each one-vertex ear the generator attaches to g."""
+    return [tuple(c.neighbors[g.order]) for c in catalog_module._ear_extensions(g, 1, canonical_labelling(g).automorphisms)]
+
+
+def test_cycles_get_one_ear_per_distance():
+    for n in range(4, 11):
+        ends = ear_ends(cycle_graph(n))
+        assert sorted((b - a) % n for a, b in ends) == list(range(2, n // 2 + 1)), n
+
+
+def test_ear_ends_are_one_pair_per_orbit_of_the_whole_group():
+    for n, blocks in generate_minimal_blocks_up_to(7).items():
+        for g in blocks:
+            edges = {frozenset(e) for e in g.edges()}
+            group = [p for p in itertools.permutations(range(n)) if {frozenset(p[v] for v in e) for e in edges} == edges]
+            def orbit(a, b):
+                return frozenset(frozenset((p[a], p[b])) for p in group)
+
+            orbits = {orbit(a, b) for a, b in itertools.combinations(range(n), 2) if not g.has_edge(a, b)}
+            ends = ear_ends(g)
+            assert len(ends) == len(orbits) and {orbit(a, b) for a, b in ends} == orbits
+
+
+def test_order_8_generation_work_is_pruned(monkeypatch):
+    calls = {"canonical": 0, "minimality": 0}
+
+    def counted(name, fn):
+        def wrapper(g):
+            calls[name] += 1
+            return fn(g)
+        return wrapper
+
+    monkeypatch.setattr(catalog_module, "canonical_labelling", counted("canonical", canonical_labelling))
+    monkeypatch.setattr(catalog_module, "is_minimally_two_connected",
+                        counted("minimality", is_minimally_two_connected))
+    generate_minimal_blocks_up_to(8)
+    assert calls["canonical"] <= 40 and calls["minimality"] <= 60, calls
 
 
 def test_all_thetas_appear_in_generation():
@@ -206,6 +263,27 @@ def test_add_rejects_a_failing_coloring():
     with pytest.raises(CatalogError, match="stored coloring fails verification"):
         cat.add(CatalogEntry("rainbow", c4, {v: v + 1 for v in range(4)}))
     assert len(cat) == 0 and cat.lookup(c4) is None
+
+
+def test_add_names_the_entry_whose_coloring_misses_vertices():
+    cat = Catalog()
+    with pytest.raises(CatalogError, match="entry 'c6': coloring misses vertices: b, c, d, e, f"):
+        cat.add(CatalogEntry("c6", cycle_graph(6), {0: 1}))
+    assert len(cat) == 0
+
+
+def test_census_id_is_rejected_and_other_ids_round_trip(tmp_path):
+    c5 = cycle_graph(5)
+    c5_entry = CatalogEntry("census", c5, mvd_closed_form(c5).coloring)
+    k4_entry = CatalogEntry("k4", complete_graph(4), {v: v + 1 for v in range(4)})
+    cat = Catalog()
+    with pytest.raises(CatalogError, match="entry id 'census' would be saved over the census file"):
+        cat.add(c5_entry)
+    cat.add(k4_entry)
+    cat.add(CatalogEntry("c5", c5, c5_entry.coloring))
+    save_catalog(cat, str(tmp_path))
+    again = load_catalog(str(tmp_path))
+    assert {e.id: (e.graph, e.coloring) for e in again.entries} == {e.id: (e.graph, e.coloring) for e in cat.entries}
 
 
 def test_entry_value_is_its_color_count():

@@ -124,6 +124,42 @@ def test_canonical_form_handles_heavy_twin_symmetry():
     assert canonical_form(complete_graph(10)) == canonical_form(complete_graph(10))
 
 
+def with_twins(rng: random.Random, g: Graph, count: int) -> Graph:
+    """g plus count new vertices, each an open or a closed twin of a random earlier one."""
+    edges = g.edges()
+    for new in range(g.order, g.order + count):
+        v = rng.randrange(new)
+        edges += [(a + b - v, new) for a, b in edges if v in (a, b)]
+        if rng.random() < 0.5:
+            edges.append((v, new))
+    return Graph.from_edges(default_labels(g.order + count), edges)
+
+
+def assert_automorphisms(g: Graph) -> None:
+    edges = {frozenset(e) for e in g.edges()}
+    for p in canonical_labelling(g).automorphisms:
+        assert sorted(p) == sorted(p.values()) and all(p[v] != v for v in p)
+        assert {frozenset(p.get(v, v) for v in e) for e in edges} == edges
+
+
+def test_returned_automorphisms_map_edges_onto_edges():
+    for blocks in generate_minimal_blocks_up_to(9).values():
+        for g in blocks:
+            assert_automorphisms(g)
+    rng = random.Random(91)
+    for trial in range(300):
+        n = rng.randint(2, 9)
+        twins = rng.randint(1, 3) if trial % 2 and n <= 6 else 0
+        assert_automorphisms(with_twins(rng, random_connected_graph(rng, n), twins))
+
+
+def test_labelling_key_is_canonical_form():
+    rng = random.Random(12)
+    for _ in range(40):
+        g = random_connected_graph(rng, rng.randint(2, 9))
+        assert canonical_labelling(g).key == canonical_form(g)
+
+
 def test_transfer_coloring():
     identity = {v: v for v in range(4)}
     source = {0: 1, 1: 2, 2: 1, 3: 2}

@@ -31,9 +31,9 @@ from mvdcolor.solve import (
     mvd_via_blocks,
     stitch_colorings,
 )
-from mvdcolor.verify import color_count, is_mvd_coloring, restrict
+from mvdcolor.verify import color_count, is_mvd_coloring
 from builders import attach_blocks, random_cactus, random_connected_graph, random_tree
-from oracles import all_set_partitions, oracle_is_mvd, partitions_into_k_classes
+from oracles import all_set_partitions, oracle_is_mvd, partitions_into_k_classes, restrict
 
 
 def test_partition_enumeration_counts():

@@ -23,10 +23,9 @@ from mvdcolor.verify import (
     color_count,
     is_mvd_coloring,
     monochromatic_cut_exists,
-    restrict,
 )
 from builders import attach_blocks, random_connected_graph, random_tree
-from oracles import oracle_is_mvd, oracle_monochromatic_cut_colors, oracle_separates
+from oracles import oracle_is_mvd, oracle_monochromatic_cut_colors, oracle_separates, restrict
 
 
 def test_c4_alternating_pair_has_cut():
