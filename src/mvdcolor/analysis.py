@@ -9,13 +9,12 @@ truth.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Optional
 
 from .blocks import BlockDecomposition, decompose, is_minimally_two_connected
-from .catalog import Catalog, theta_graph, triangle_free
-from .graph import Graph, cycle_graph, induced_subgraph, is_connected
+from .catalog import Catalog, triangle_free
+from .graph import Graph, cycle_order, induced_subgraph, is_connected, theta_threads
 from .iso import CANONICAL_MAX_ORDER, canonical_form
 from .solve import mvd_via_blocks
 
@@ -84,22 +83,19 @@ def bound_blocks(g: Graph) -> BoundReport:
     return BoundReport("block-formula", True, f"r={dec.r}, t={dec.t}", value)
 
 
-@functools.lru_cache(maxsize=1)
-def _family_keys() -> tuple[dict[str, str], dict[str, str]]:
-    """Canonical keys of the text-recoverable cores for the n-3 and n-4 families."""
-    class_a = {
-        canonical_form(cycle_graph(5)): "C5",
-        canonical_form(theta_graph([1, 1, 1])): "K2,3",
-        canonical_form(cycle_graph(6)): "C6",
-    }
-    class_b = {
-        canonical_form(cycle_graph(7)): "C7",
-        canonical_form(theta_graph([3, 1, 1])): "P(3,1,1)",
-        canonical_form(theta_graph([2, 1, 1])): "P(2,1,1)",
-        canonical_form(theta_graph([1, 1, 1, 1])): "P(1,1,1,1)",
-        canonical_form(cycle_graph(8)): "C8",
-    }
-    return class_a, class_b
+# the n-3 and n-4 family cores by block shape (see _shape)
+_C4 = 4
+_CLASS_A = {5, 6, (1, 1, 1)}  # C5, C6, K2,3
+_CLASS_B = {7, 8, (1, 1, 3), (1, 1, 2), (1, 1, 1, 1)}  # C7, C8, P(3,1,1), P(2,1,1), P(1,1,1,1)
+
+
+def _shape(g: Graph) -> Optional[int | tuple[int, ...]]:
+    """A cycle's order, a theta's sorted thread inner-vertex counts, else None."""
+    walk = cycle_order(g)
+    if walk is not None:
+        return len(walk)
+    threads = theta_threads(g)
+    return None if threads is None else tuple(sorted(len(t) - 2 for t in threads))
 
 
 def nontrivial_core(g: Graph, dec: Optional[BlockDecomposition] = None) -> Optional[Graph]:
@@ -113,22 +109,19 @@ def nontrivial_core(g: Graph, dec: Optional[BlockDecomposition] = None) -> Optio
 
 
 def _structural_family(dec: BlockDecomposition) -> Optional[str]:
-    # no family core is larger than C8, so a larger block matches none of them
-    keys = [canonical_form(b.graph) if b.graph.order <= 8 else None for b in dec.blocks if not b.trivial]
-    if not keys:
+    shapes = [_shape(b.graph) for b in dec.blocks if not b.trivial]
+    if not shapes:
         return "tree"
-    class_a, class_b = _family_keys()
-    c4_key = canonical_form(cycle_graph(4))
-    if len(keys) == 1:
-        key = keys[0]
-        if key == c4_key:
+    if len(shapes) == 1:
+        shape = shapes[0]
+        if shape == _C4:
             return "unicyclic-C4"
-        if key in class_a:
+        if shape in _CLASS_A:
             return "class-A"
-        if key in class_b:
+        if shape in _CLASS_B:
             return "class-B"
         return None
-    if len(keys) == 2 and all(key == c4_key for key in keys):
+    if len(shapes) == 2 and all(shape == _C4 for shape in shapes):
         return "class-B"
     return None
 

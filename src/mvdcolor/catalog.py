@@ -8,9 +8,11 @@ is not a cycle admits an ear decomposition whose ears all keep a degree-2
 vertex, so single-ear extensions of smaller minimal blocks reach the whole
 class.  Each minimal candidate is labelled once, and a stored block's
 automorphisms from that search leave one ear per orbit of vertex pairs to
-try.  ``build_catalog`` solves each census block with ``mvd_exact``;
-``Catalog.add``, the one way into a catalog, verifies every stored coloring
-before indexing it, so built and loaded entries are checked alike.
+try.  ``build_catalog`` solves each census block in closed form where
+``solve.mvd_closed_form`` certifies one (cycles, and thetas whose coloring
+meets the theta bound) and with ``mvd_exact`` otherwise; ``Catalog.add``,
+the one way into a catalog, verifies every stored coloring before indexing
+it, so built and loaded entries are checked alike.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Iterable, Optional, Sequence
 from .blocks import is_minimally_two_connected
 from .graph import Graph, cycle_graph, default_labels, format_matrix, parse_matrix
 from .iso import canonical_labelling
-from .solve import mvd_exact
+from .solve import mvd_closed_form, mvd_exact
 from .verify import color_count, is_mvd_coloring
 
 GENERATION_MIN_ORDER = 3
@@ -187,12 +189,13 @@ class Catalog:
 
 
 def build_catalog(max_order: int) -> Catalog:
-    """Generate the census up to max_order and solve every entry with ``mvd_exact``."""
+    """Generate the census up to max_order and solve every entry, in closed
+    form where one is certified, else with ``mvd_exact``."""
     cat = Catalog()
     generated = generate_minimal_blocks_up_to(max_order)
     for n in range(GENERATION_MIN_ORDER, max_order + 1):
         for i, g in enumerate(generated[n], start=1):
-            cat.add(CatalogEntry(f"graph_{n}Vertex-{i}", g, mvd_exact(g).coloring))
+            cat.add(CatalogEntry(f"graph_{n}Vertex-{i}", g, (mvd_closed_form(g) or mvd_exact(g)).coloring))
     return cat
 
 

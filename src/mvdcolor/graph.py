@@ -179,6 +179,34 @@ def cycle_order(g: Graph) -> Optional[list[int]]:
     return walk
 
 
+def theta_threads(g: Graph) -> Optional[list[list[int]]]:
+    """The threads of g as walks [a, ..., b] if g is a theta graph whose hubs
+    a < b are nonadjacent, else None.
+
+    A theta graph has exactly two vertices of degree >= 3, the hubs, and
+    every other vertex of degree 2.  Each hub neighbour starts a thread,
+    walked until it meets a hub.  None when a thread comes back to a, when a
+    thread has no inner vertex (the hubs are adjacent), or when the threads
+    miss a vertex.
+    """
+    hubs = [v for v in range(g.order) if g.degree(v) >= 3]
+    if len(hubs) != 2 or any(g.degree(v) != 2 for v in range(g.order) if v not in hubs):
+        return None
+    a, b = hubs
+    threads = []
+    for first in g.neighbors[a]:
+        walk = [a, first]
+        while walk[-1] not in hubs:
+            x, y = g.neighbors[walk[-1]]
+            walk.append(x if x != walk[-2] else y)
+        if walk[-1] == a or len(walk) == 2:
+            return None
+        threads.append(walk)
+    if sum(len(t) - 2 for t in threads) + 2 != g.order:
+        return None
+    return threads
+
+
 # ---------------------------------------------------------------------------
 # File formats
 

@@ -4,10 +4,12 @@ The exact solver walks the colourings of each class count k, descending from
 the order, as restricted-growth strings: it colours one vertex at a time,
 keeps a bitmask per colour class, and checks each full assignment against
 those masks.  A first success at k classes proves the value is k.
-Block-composed solving decomposes the graph, solves each block via catalog
-lookup, closed form, or exact search, stitches the per-block colorings
-across cut vertices in reverse decomposition order, and composes the value
-as ``sum of block values - r + 1``.
+Closed forms cover complete graphs, cycles, and theta graphs whose
+constructive coloring reaches a proved upper bound; thetas that miss it go
+to exact search.  Block-composed solving decomposes the graph, solves each
+block via catalog lookup, closed form, or exact search, stitches the
+per-block colorings across cut vertices in reverse decomposition order, and
+composes the value as ``sum of block values - r + 1``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from . import verify
 from .blocks import Block, BlockDecomposition, decompose, is_minimally_two_connected
-from .graph import Graph, GuardError, _bits, cycle_order, is_complete, is_connected
+from .graph import Graph, GuardError, _bits, cycle_order, is_complete, is_connected, theta_threads
 from .iso import transfer_coloring
 from .verify import _require_total, color_count, pair_rows, partition_passes
 
@@ -114,8 +116,57 @@ def mvd_exact(g: Graph) -> MvdResult:
     raise AssertionError("unreachable: the single-class coloring always passes")
 
 
+def _theta_coloring(threads: Sequence[Sequence[int]]) -> dict[int, int]:
+    """A passing coloring of the theta graph with these threads (walks from
+    hub a to hub b, each with an inner vertex).
+
+    Both hubs get color 1.  Each thread's inner vertices t_1..t_m get a
+    fresh color per mirrored pair t_j, t_(m+1-j) around its centre: one
+    vertex of color 2 when m is odd, a pair colored (2, 1) when m is even, or
+    (2, 3) when every m is even.  That is 2 + [every m even] +
+    sum floor((m - 1)/2) colors.  It passes: the hubs' class separates
+    vertices on different threads, class 2 meets every thread, so it
+    separates the hubs and any pair split by a centre, a mirrored pair cuts
+    off the stretch between its ends, and the class of a second centre,
+    with the hubs or on every thread, separates its two neighbours.
+    """
+    all_even = all(len(t) % 2 == 0 for t in threads)  # m = len(t) - 2
+    coloring = {threads[0][0]: 1, threads[0][-1]: 1}
+    fresh = 4 if all_even else 3
+    for t in threads:
+        inner = t[1:-1]
+        m = len(inner)
+        half = (m - 1) // 2
+        for j in range(half):
+            coloring[inner[j]] = coloring[inner[m - 1 - j]] = fresh
+            fresh += 1
+        coloring[inner[half]] = 2
+        if m % 2 == 0:
+            coloring[inner[half + 1]] = 3 if all_even else 1
+    return coloring
+
+
 def mvd_closed_form(g: Graph) -> Optional[MvdResult]:
-    """Known-family shortcut: complete graphs and cycles; else None."""
+    """Known families: complete graphs, cycles, and thetas whose coloring
+    meets the theta bound; else None.
+
+    A theta graph (see ``graph.theta_threads``) has k >= 3 threads between
+    nonadjacent hubs a and b.  It gets ``_theta_coloring``, which is kept
+    only when its color count equals 1 + (n - k) // 2, an upper bound on
+    mvd for every such theta, so the coloring is then optimal:
+
+    - a and b are nonadjacent, so some color class holds an a-b cut, which
+      meets all k threads;
+    - every vertex has two nonadjacent neighbours, and every cut between
+      them contains it, so every class holds a cut;
+    - a 2-connected graph has no cut vertex, so every class has >= 2 vertices.
+
+    So c classes need k + 2(c - 1) <= n vertices.  The count meets the bound
+    when at most one thread has an even number of inner vertices, or when
+    there are three threads and all do (P(500,500,500) gets 750); it misses
+    it on, for example, P(2,2,1), and those thetas go to exact search or the
+    guard.
+    """
     n = g.order
     if n < 2 or not is_connected(g):
         return None
@@ -126,6 +177,12 @@ def mvd_closed_form(g: Graph) -> Optional[MvdResult]:
         half = n // 2
         coloring = {v: (j % half) + 1 for j, v in enumerate(walk)}
         return MvdResult(half, coloring, "closed-form")
+    threads = theta_threads(g)
+    if threads is not None:
+        coloring = _theta_coloring(threads)
+        value = color_count(coloring)
+        if value == 1 + (n - len(threads)) // 2:
+            return MvdResult(value, coloring, "closed-form")
     return None
 
 

@@ -45,6 +45,18 @@ def attach_blocks(rng: random.Random, block_templates: Sequence[Graph], count: i
     return Graph.from_edges(default_labels(total), edges)
 
 
+def theta_specs(max_order: int, min_threads: int = 3) -> list[tuple[int, ...]]:
+    """Inner-vertex counts, nonincreasing, of every theta P(m_1..m_k) with all
+    m_i >= 1, k >= min_threads and order 2 + sum m_i <= max_order."""
+
+    def split(total: int, largest: int) -> list[tuple[int, ...]]:
+        if total == 0:
+            return [()]
+        return [(m, *rest) for m in range(min(total, largest), 0, -1) for rest in split(total - m, m)]
+
+    return [ms for total in range(1, max_order - 1) for ms in split(total, total) if len(ms) >= min_threads]
+
+
 def random_cactus(rng: random.Random, blocks: int, even_only: bool = True) -> Graph:
     """Cactus built from bridges and cycle blocks."""
     from mvdcolor.graph import cycle_graph

@@ -278,6 +278,26 @@ def test_bound_long_cycle_within_budget(tmp_path):
     assert ok, line
 
 
+def test_solve_large_theta_within_budget(tmp_path):
+    from mvdcolor.catalog import theta_graph
+    from mvdcolor.graph import format_matrix
+
+    path = tmp_path / "p500.txt"
+    path.write_text(format_matrix(theta_graph([500, 500, 500])))
+    budget = 15.0
+    t0 = time.time()
+    proc = run_cli("solve", str(path), "--json")
+    elapsed = time.time() - t0
+    ok = elapsed < budget
+    line = f"solve P(500,500,500): {'PASS' if ok else 'FAIL (over budget)'} ({elapsed:.2f}s of {budget:.0f}s budget)"
+    print(line)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["mvd"] == 750
+    assert [b["method"] for b in report["blocks"]] == ["closed-form"]
+    assert ok, line
+
+
 def test_export_dot_round_trip(tmp_path, data_dir):
     out = tmp_path / "g.dot"
     proc = run_cli(
@@ -299,7 +319,7 @@ def test_solve_guard_exit_code(tmp_path):
     from mvdcolor.graph import format_matrix
 
     big = tmp_path / "big.txt"
-    big.write_text(format_matrix(theta_graph([1] * 10)))
+    big.write_text(format_matrix(theta_graph([2, 2, 1, 1, 1, 1, 1, 1])))  # order 12, misses the theta bound
     proc = run_cli("solve", str(big), "--method", "blocks")
     assert proc.returncode == 3
     assert "guard" in proc.stderr

@@ -23,6 +23,7 @@ from mvdcolor.graph import (
     parse_edge_list,
     parse_matrix,
     path_graph,
+    theta_threads,
     to_dot,
 )
 from builders import random_connected_graph
@@ -262,3 +263,27 @@ def test_graph_rejects_bad_structure():
         Graph(("a", "a"), ((), ()))
     with pytest.raises(ValueError):
         Graph(("a", "b"), ((1,), ()))  # asymmetric
+
+
+def test_theta_threads():
+    from mvdcolor.catalog import theta_graph
+
+    assert theta_threads(theta_graph([3, 1, 2])) == [[0, 2, 3, 4, 1], [0, 5, 1], [0, 6, 7, 1]]
+    assert theta_threads(theta_graph([1] * 10)) == [[0, v, 1] for v in range(2, 12)]
+    k23 = theta_graph([1, 1, 1]).edges()
+    rejected = {
+        "cycle": cycle_graph(6),
+        "bare hub edge": theta_graph([2, 1, 0]),
+        "chord": Graph.from_edges(theta_graph([3, 3, 3]).labels, theta_graph([3, 3, 3]).edges() + [(3, 6)]),
+        "two cycles sharing a vertex": Graph.from_edges(
+            [str(v) for v in range(7)], [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 5), (5, 6), (6, 0)]
+        ),
+        # hub 0's loop is walked from both ends, hub 1's is never walked: the counts balance
+        "thread back to a hub": Graph.from_edges(
+            [str(v) for v in range(9)], k23 + [(0, 5), (5, 6), (6, 0), (1, 7), (7, 8), (8, 1)]
+        ),
+        "missed vertex": Graph.from_edges([str(v) for v in range(8)], k23 + [(5, 6), (6, 7), (7, 5)]),
+        "pendant": Graph.from_edges([str(v) for v in range(6)], k23 + [(2, 5)]),
+    }
+    for name, g in rejected.items():
+        assert theta_threads(g) is None, name

@@ -24,6 +24,7 @@ from mvdcolor.graph import (
 )
 from mvdcolor.solve import (
     MvdResult,
+    _theta_coloring,
     counting_formula,
     mvd_closed_form,
     mvd_compose,
@@ -32,7 +33,7 @@ from mvdcolor.solve import (
     stitch_colorings,
 )
 from mvdcolor.verify import color_count, is_mvd_coloring
-from builders import attach_blocks, random_cactus, random_connected_graph, random_tree
+from builders import attach_blocks, random_cactus, random_connected_graph, random_tree, theta_specs
 from oracles import all_set_partitions, oracle_is_mvd, partitions_into_k_classes, restrict
 
 
@@ -155,8 +156,92 @@ def test_closed_forms():
     star = star_graph(4)
     assert mvd_closed_form(star) is None  # a tree is all trivial blocks
     assert mvd_via_blocks(star).value == star.order
-    assert mvd_closed_form(theta_graph([1, 1, 1])) is None
+    k23 = mvd_closed_form(theta_graph([1, 1, 1]))
+    assert k23 is not None and k23.value == 2 and k23.method == "closed-form"
     assert mvd_closed_form(cycle_graph(4)).method == "closed-form"
+    chorded = theta_graph([3, 3, 3])
+    chorded = Graph.from_edges(chorded.labels, chorded.edges() + [(3, 6)])
+    wheel = Graph.from_edges(default_labels(6), [(0, i) for i in range(1, 6)] + [(i, i % 5 + 1) for i in range(1, 6)])
+    bowtie = Graph.from_edges(default_labels(7), [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 5), (5, 6), (6, 0)])
+    for g in (theta_graph([2, 2, 1]), theta_graph([2, 2, 1, 1]), theta_graph([2, 1, 0]), chorded, wheel, bowtie):
+        assert mvd_closed_form(g) is None
+
+
+def _threads_of(spec):
+    """theta_graph(spec)'s threads as walks from hub 0 to hub 1, in spec order."""
+    threads, nxt = [], 2
+    for m in spec:
+        threads.append([0, *range(nxt, nxt + m), 1])
+        nxt += m
+    return threads
+
+
+def test_theta_closed_form_is_certified_exactly_at_the_bound():
+    specs = theta_specs(16, min_threads=2)
+    assert len(specs) == 493
+    certified = 0
+    for spec in specs:
+        g, k = theta_graph(spec), len(spec)
+        coloring = _theta_coloring(_threads_of(spec))
+        assert is_mvd_coloring(g, coloring).ok, spec
+        count = color_count(coloring)
+        assert count == 2 + all(m % 2 == 0 for m in spec) + sum((m - 1) // 2 for m in spec)
+        bound = 1 + (g.order - k) // 2
+        assert count <= bound
+        certified += count == bound
+        if k >= 3:
+            res = mvd_closed_form(g)
+            assert (res is None) == (count != bound), spec
+            if res is not None:
+                assert res.value == bound and color_count(res.coloring) == bound
+    assert certified == 281
+
+
+def _pin_thetas_against_exact(specs):
+    for spec in specs:
+        g = theta_graph(spec)
+        exact = mvd_exact(g).value
+        assert color_count(_theta_coloring(_threads_of(spec))) == exact, spec
+        res = mvd_closed_form(g)
+        assert res is None or res.value == exact, spec
+
+
+def test_theta_coloring_matches_exact_to_order_10():
+    specs = theta_specs(10)
+    assert len(specs) == 42
+    _pin_thetas_against_exact(specs)
+
+
+@pytest.mark.slow
+def test_theta_coloring_matches_exact_at_order_11():
+    specs = [spec for spec in theta_specs(11) if sum(spec) == 9]
+    assert len(specs) == 25
+    _pin_thetas_against_exact(specs)
+
+
+def test_chain_of_large_thetas_composes():
+    # P(61,61,61) all odd, P(40,41,41,41) one even, P(100,30,30) three even: all meet the bound
+    specs = ([61, 61, 61], [40, 41, 41, 41], [100, 30, 30])
+    edges, last = [], 0
+    for spec in specs:  # each theta's hub 0 is glued to the previous theta's last vertex
+        block = theta_graph(spec)
+        edges += [(last + u, last + v) for u, v in block.edges()]
+        last += block.order - 1
+    g = Graph.from_edges(default_labels(last + 1), edges)
+    values = [1 + (2 + sum(spec) - len(spec)) // 2 for spec in specs]  # 1 + (n - k) // 2
+    assert values == [92, 81, 80]
+    budget = 12.0
+    t0 = time.time()
+    res = mvd_via_blocks(g)
+    elapsed = time.time() - t0
+    ok = elapsed < budget
+    line = f"solve theta chain: {'PASS' if ok else 'FAIL (over budget)'} ({elapsed:.2f}s of {budget:.0f}s budget)"
+    print(line)
+    assert res.block_methods == ("closed-form",) * 3
+    assert res.value == sum(values) - 3 + 1
+    assert color_count(res.coloring) == res.value
+    assert is_mvd_coloring(g, res.coloring).ok
+    assert ok, line
 
 
 def test_closed_forms_agree_with_exact():
@@ -353,7 +438,7 @@ def test_long_cycle_solves_within_budget():
 
 
 def test_via_blocks_guard_names_the_block():
-    big_block = theta_graph([1] * 10)  # order 12, not a cycle/tree/complete graph
+    big_block = theta_graph([2, 2, 1, 1, 1, 1, 1, 1])  # order 12, a theta that misses the bound
     with pytest.raises(GuardError, match="block {a, b, c"):
         mvd_via_blocks(big_block)
 
