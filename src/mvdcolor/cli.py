@@ -9,6 +9,7 @@ ordering; ``--json`` switches any subcommand to a machine-readable report.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -241,7 +242,10 @@ def _cmd_export_dot(args) -> tuple[list[str], dict, int]:
     return [f"wrote {args.out}"], {"input": _digest(g), "out": args.out, "colored": coloring is not None}, EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every later
+    ``main`` call in the process: parsing reads it and never changes it."""
     parser = argparse.ArgumentParser(
         prog="mvdcolor",
         description="Monochromatic vertex-disconnection numbers and certified colorings.",
@@ -306,8 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         lines, report, code = args.func(args)
     except GuardError as exc:

@@ -7,6 +7,7 @@ a graph.  All operations are pure and graphs may be shared freely.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -129,8 +130,11 @@ def _reach_mask(g: Graph, start: int, allowed: int) -> int:
     masks = g.adj_masks
     while frontier:
         nxt = 0
-        for v in _bits(frontier):
-            nxt |= masks[v]
+        f = frontier
+        while f:
+            low = f & -f
+            nxt |= masks[low.bit_length() - 1]
+            f ^= low
         frontier = nxt & allowed & ~seen
         seen |= frontier
     return seen
@@ -215,6 +219,32 @@ def _split_tokens(line: str) -> list[str]:
     return [tok.strip() for tok in line.split(",")]
 
 
+_ROW = re.compile(r"[01](?:,[01])*")
+_DROP_SPACES = str.maketrans("", "", " \t")  # splitlines breaks at the other ASCII spaces
+
+
+def _row_mask(raw: str, n: int, line: int) -> int:
+    """One matrix row as the mask of its 1 entries, entry j as bit j.
+
+    A row that is n single 0/1 digits and commas once its spaces and tabs are
+    dropped is read in one step.  Any other row is read token by token, which
+    accepts every space ``str.strip`` drops and names the first bad token.
+    """
+    row = raw.translate(_DROP_SPACES)
+    if len(row) == 2 * n - 1 and _ROW.fullmatch(row):
+        return int(row[::-2], 2)
+    toks = _split_tokens(raw)
+    if len(toks) != n:
+        raise GraphFormatError(f"expected {n} entries, found {len(toks)}", line=line)
+    mask = 0
+    for col, tok in enumerate(toks, start=1):
+        if tok not in ("0", "1"):
+            raise GraphFormatError(f"matrix entry must be 0 or 1, got {tok!r}", line=line, column=col)
+        if tok == "1":
+            mask |= 1 << (col - 1)
+    return mask
+
+
 def parse_matrix(text: str) -> tuple[Graph, Optional[dict[int, int]]]:
     """Parse the adjacency-matrix format.
 
@@ -222,6 +252,10 @@ def parse_matrix(text: str) -> tuple[Graph, Optional[dict[int, int]]]:
     positive integer color.  Lines 2..n+1 hold comma-separated 0/1 entries of a
     symmetric, zero-diagonal n x n matrix.  Either every label carries a color
     or none does.  Returns the graph plus the coloring, or None without colors.
+
+    Each row is read as a bitmask (see ``_row_mask``), and the graph is built
+    from the masks.  Errors name the first bad row, then, row by row, a
+    nonzero diagonal entry or the row's least asymmetric entry.
     """
     lines = [ln for ln in text.splitlines()]
     while lines and not lines[-1].strip():
@@ -265,27 +299,27 @@ def parse_matrix(text: str) -> tuple[Graph, Optional[dict[int, int]]]:
 
     if len(lines) - 1 != n:
         raise GraphFormatError(f"expected {n} matrix rows, found {len(lines) - 1}", line=len(lines))
-    rows: list[list[int]] = []
-    for i, raw in enumerate(lines[1:], start=2):
-        row: list[int] = []
-        toks = _split_tokens(raw)
-        if len(toks) != n:
-            raise GraphFormatError(f"expected {n} entries, found {len(toks)}", line=i)
-        for col, tok in enumerate(toks, start=1):
-            if tok not in ("0", "1"):
-                raise GraphFormatError(f"matrix entry must be 0 or 1, got {tok!r}", line=i, column=col)
-            row.append(int(tok))
-        rows.append(row)
-    for i in range(n):
-        if rows[i][i] != 0:
+    masks = [_row_mask(raw, n, i) for i, raw in enumerate(lines[1:], start=2)]
+    # Below-diagonal entries give the neighbour lists, in ascending order, and
+    # the transpose of the lower triangle, which each row's upper part must match.
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    upper = [0] * n
+    for j, m in enumerate(masks):
+        below = m & ((1 << j) - 1)
+        while below:
+            low = below & -below
+            i = low.bit_length() - 1
+            nbrs[i].append(j)
+            nbrs[j].append(i)
+            upper[i] |= 1 << j
+            below ^= low
+    for i, m in enumerate(masks):
+        if m >> i & 1:
             raise GraphFormatError("nonzero diagonal entry", line=2 + i, column=i + 1)
-        for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
-                raise GraphFormatError(
-                    f"asymmetric entries for {labels[i]!r},{labels[j]!r}", line=2 + j, column=i + 1
-                )
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rows[i][j]]
-    g = Graph.from_edges(labels, edges)
+        if asym := (m ^ upper[i]) >> (i + 1):
+            j = i + (asym & -asym).bit_length()
+            raise GraphFormatError(f"asymmetric entries for {labels[i]!r},{labels[j]!r}", line=2 + j, column=i + 1)
+    g = Graph(tuple(labels), tuple(map(tuple, nbrs)))
     if colors[0] is None:
         return g, None
     return g, dict(enumerate(colors))  # type: ignore[arg-type]

@@ -267,10 +267,9 @@ def solve_block(block: Block, catalog: Optional[Catalog]) -> MvdResult:
     if closed is not None:
         return closed
     if bg.order > MAX_EXACT_ORDER:
+        first = ", ".join(sorted(bg.labels)[:3])
         raise GuardError(
-            "block {"
-            + ", ".join(sorted(bg.labels))
-            + f"}} has order {bg.order}: beyond the exact-solver guard "
+            f"block {{{first}, ...}} has order {bg.order}: beyond the exact-solver guard "
             f"({MAX_EXACT_ORDER}) with no catalog or closed-form match"
         )
     return mvd_exact(bg)

@@ -80,9 +80,13 @@ def class_view(g: Graph, class_mask: int) -> list[int]:
         members = []
         while frontier:
             step = 0
-            for v in _bits(frontier):
+            f = frontier
+            while f:
+                low = f & -f
+                v = low.bit_length() - 1
                 members.append(v)
                 step |= adj[v]
+                f ^= low
             near |= step
             frontier = step & free & ~seen
             seen |= frontier

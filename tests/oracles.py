@@ -5,8 +5,9 @@ permutation search, full partition enumeration) and stays independent of the
 implementation paths it validates.  Reference helpers that the library no
 longer needs also live here: the restricted-growth partition enumerator that
 the exact search used to draw from, ``restrict``, the census generator that
-attaches an ear at every vertex pair, and ``triangle_blocks_value``, which
-reads the library's block decomposition.
+attaches an ear at every vertex pair, ``triangle_blocks_value``, which
+reads the library's block decomposition, and ``reference_parse_matrix``, the
+whole-file tokenising matrix reader that the one-pass reader replaced.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import itertools
 from typing import Iterable, Iterator, Mapping, Optional
 
 from mvdcolor.blocks import decompose, is_minimally_two_connected
-from mvdcolor.graph import Graph, cycle_graph, default_labels, is_connected
+from mvdcolor.graph import Graph, GraphFormatError, cycle_graph, default_labels, is_connected
 from mvdcolor.iso import canonical_form
 
 
@@ -206,3 +207,79 @@ def graphs_of_order(n: int) -> Iterator[Graph]:
     labels = default_labels(n)
     for mask in range(1 << len(pairs)):
         yield Graph.from_edges(labels, [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1])
+
+
+def reference_parse_matrix(text: str) -> tuple[Graph, Optional[dict[int, int]]]:
+    """The adjacency-matrix format read token by token: every token stripped
+    with ``str.strip``, every row checked, then the diagonal and symmetry of
+    the whole 0/1 table, row by row."""
+
+    def split_tokens(line: str) -> list[str]:
+        return [tok.strip() for tok in line.split(",")]
+
+    lines = [ln for ln in text.splitlines()]
+    while lines and not lines[-1].strip():
+        lines.pop()
+    if not lines or not lines[0].strip():
+        if any(ln.strip() for ln in lines):
+            raise GraphFormatError("missing label line", line=1)
+        return Graph((), ()), None
+
+    labels: list[str] = []
+    colors: list[Optional[int]] = []
+    for col, tok in enumerate(split_tokens(lines[0]), start=1):
+        if not tok:
+            raise GraphFormatError("empty label token", line=1, column=col)
+        if ":" in tok:
+            name, _, raw = tok.partition(":")
+            name = name.strip()
+            raw = raw.strip()
+            if not name:
+                raise GraphFormatError("empty label before ':'", line=1, column=col)
+            try:
+                color = int(raw)
+            except ValueError:
+                raise GraphFormatError(f"bad color {raw!r}", line=1, column=col) from None
+            if color < 1:
+                raise GraphFormatError(f"color must be positive, got {color}", line=1, column=col)
+            labels.append(name)
+            colors.append(color)
+        else:
+            labels.append(tok)
+            colors.append(None)
+    if None in colors and any(colors):  # colors are positive
+        col = colors.index(None) + 1
+        raise GraphFormatError(f"label {labels[col - 1]!r} has no color, but other labels do", line=1, column=col)
+    n = len(labels)
+    seen: dict[str, int] = {}
+    for col, lab in enumerate(labels, start=1):
+        if lab in seen:
+            raise GraphFormatError(f"duplicate label {lab!r}", line=1, column=col)
+        seen[lab] = col
+
+    if len(lines) - 1 != n:
+        raise GraphFormatError(f"expected {n} matrix rows, found {len(lines) - 1}", line=len(lines))
+    rows: list[list[int]] = []
+    for i, raw in enumerate(lines[1:], start=2):
+        row: list[int] = []
+        toks = split_tokens(raw)
+        if len(toks) != n:
+            raise GraphFormatError(f"expected {n} entries, found {len(toks)}", line=i)
+        for col, tok in enumerate(toks, start=1):
+            if tok not in ("0", "1"):
+                raise GraphFormatError(f"matrix entry must be 0 or 1, got {tok!r}", line=i, column=col)
+            row.append(int(tok))
+        rows.append(row)
+    for i in range(n):
+        if rows[i][i] != 0:
+            raise GraphFormatError("nonzero diagonal entry", line=2 + i, column=i + 1)
+        for j in range(i + 1, n):
+            if rows[i][j] != rows[j][i]:
+                raise GraphFormatError(
+                    f"asymmetric entries for {labels[i]!r},{labels[j]!r}", line=2 + j, column=i + 1
+                )
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rows[i][j]]
+    g = Graph.from_edges(labels, edges)
+    if colors[0] is None:
+        return g, None
+    return g, dict(enumerate(colors))  # type: ignore[arg-type]

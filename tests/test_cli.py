@@ -434,3 +434,30 @@ def test_solve_auto_and_blocks_print_identical_reports(data_dir, family_files, c
                 auto, blocks = json.loads(auto), json.loads(blocks)
                 del auto["command"], blocks["command"]
             assert auto == blocks
+
+
+def test_main_calls_share_no_parser_state(data_dir, c9_file, capsys, monkeypatch):
+    import mvdcolor.cli as cli
+
+    calls = []
+    real = cli.load_catalog
+    monkeypatch.setattr(cli, "load_catalog", lambda d: calls.append(d) or real(d))
+    catalog = str(data_dir / "typeset9")
+
+    def same_as_fresh_process(*argv: str) -> str:
+        code = cli.main(list(argv))
+        out = capsys.readouterr().out
+        fresh = run_cli(*argv)
+        assert (code, out) == (fresh.returncode, fresh.stdout), argv
+        return out
+
+    bad = ["solve", c9_file, "--catalog", catalog, "--method", "nope"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(bad)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == run_cli(*bad).stderr
+    same_as_fresh_process("solve", c9_file)
+    same_as_fresh_process("solve", c9_file, "--method", "exact", "--catalog", catalog, "--json")
+    plain = same_as_fresh_process("solve", c9_file)
+    assert "method: block-composed" in plain and "closed-form" in plain
+    assert calls == []

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from mvdcolor.graph import (
     _reach_mask,
     complete_graph,
     cycle_graph,
+    default_labels,
     format_edge_list,
     format_matrix,
     induced_subgraph,
@@ -27,7 +29,7 @@ from mvdcolor.graph import (
     to_dot,
 )
 from builders import random_connected_graph
-from oracles import oracle_separates
+from oracles import oracle_separates, reference_parse_matrix
 
 C4_TEXT = """a, b, c, d
 0, 1, 0, 1
@@ -70,6 +72,7 @@ def test_parse_resource_with_colors(data_dir):
         ("a, b\n0, 1, 0\n1, 0\n", "expected 2 entries", 2),
         ("a, b\n0, 1\n0, 0\n", "asymmetric", 3),
         ("a, b\n1, 1\n1, 0\n", "nonzero diagonal", 2),
+        ("a, b, c\n0, 1, 1\n0, 0, 0\n0, 0, 0\n", "asymmetric entries for 'a','b'", 3),
         ("a, a\n0, 1\n1, 0\n", "duplicate label", 1),
         ("a, b\n0, x\n1, 0\n", "must be 0 or 1", 2),
         ("a, b:zero\n0, 1\n1, 0\n", "bad color", 1),
@@ -129,6 +132,79 @@ def test_matrix_round_trip(data):
     again, back = parse_matrix(format_matrix(g, colored))
     assert again == g and back == colored
 
+
+
+# padding around tokens, one kind per text: ASCII spaces, spaces that only
+# str.strip drops, or ASCII spaces and a carriage return, which splits a line
+_PADS = st.sampled_from([
+    ["", "", " ", "  ", "\t", " \t "],
+    ["", " ", "\x1f", "\u00a0", "\u2003 "],
+    ["", "", "", " ", "\t"] * 30 + ["\r"],
+])
+_STRAY = st.sampled_from(["x", "2", "01", "", "0 1", "-1", "1.0", "\uff11"])
+
+
+@st.composite
+def matrix_texts(draw) -> str:
+    """Matrix-format text, valid or with one fault: a short or long row, a
+    stray token, a nonzero diagonal entry or an asymmetric pair."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    rows = [["0"] * n for _ in range(n)]
+    for u, v in edges:
+        rows[u][v] = rows[v][u] = "1"
+    fault = draw(st.sampled_from(["none", "none", "short", "long", "stray", "diagonal", "asymmetric"]))
+    i = draw(st.integers(0, n - 1))
+    j = draw(st.integers(0, n - 1))
+    if fault == "short":
+        rows[i].pop()
+    elif fault == "long":
+        rows[i].append(draw(st.sampled_from(["0", "1"])))
+    elif fault == "stray":
+        rows[i][j] = draw(_STRAY)
+    elif fault == "diagonal":
+        rows[i][i] = "1"
+    elif fault == "asymmetric":  # one row, maybe several columns
+        for j in ({j} | set(draw(st.lists(st.integers(0, n - 1), max_size=2)))) - {i}:
+            rows[i][j] = "1" if rows[i][j] == "0" else "0"
+    labels = default_labels(n)
+    if draw(st.booleans()):
+        labels = [f"{lab}:{draw(st.integers(1, 3))}" for lab in labels]
+    lines = [", ".join(labels)]
+    pad = st.sampled_from(draw(_PADS))
+    lines += [",".join(draw(pad) + tok + draw(pad) for tok in row) for row in rows]
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "\r\n", "", "\n\n"]))
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except GraphFormatError as err:
+        return str(err), err.line, err.column
+
+
+@settings(max_examples=400, deadline=None)
+@given(matrix_texts())
+def test_parse_matrix_agrees_with_reference_reader(text):
+    assert _parse_outcome(parse_matrix, text) == _parse_outcome(reference_parse_matrix, text)
+
+
+def test_parse_large_theta_matrix_within_budget(tmp_path):
+    from mvdcolor.catalog import theta_graph
+
+    path = tmp_path / "p500.txt"
+    path.write_text(format_matrix(theta_graph([500, 500, 500])))
+    text = path.read_text()
+    budget = 0.4
+    t0 = time.time()
+    g, coloring = parse_matrix(text)
+    elapsed = time.time() - t0
+    ok = elapsed < budget
+    line = f"parse P(500,500,500): {'PASS' if ok else 'FAIL (over budget)'} ({elapsed:.2f}s of {budget:.1f}s budget)"
+    print(line)
+    assert (g.order, g.size, coloring) == (1502, 1503, None)
+    assert ok, line
 
 def test_edge_list_round_trip():
     g = Graph.from_edges(["a", "b", "c", "d"], [(0, 1)])

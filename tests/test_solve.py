@@ -443,6 +443,16 @@ def test_via_blocks_guard_names_the_block():
         mvd_via_blocks(big_block)
 
 
+def test_guard_message_stays_short_on_a_large_block():
+    g = theta_graph([500, 500, 2, 2])  # order 1006, misses the theta bound
+    with pytest.raises(GuardError) as err:
+        mvd_via_blocks(g)
+    message = str(err.value)
+    assert "guard" in message and "order 1006" in message
+    assert message.startswith("block {v1, v10, v100, ...}")
+    assert len(message) < 160, message
+
+
 def test_no_larger_coloring_exists_at_small_order():
     rng = random.Random(83)
     for trial in range(15):
