@@ -218,7 +218,8 @@ def stitch_colorings(dec: BlockDecomposition, per_block: Sequence[Mapping[int, i
     of per-block color counts) - r + 1 colors.  Each block is checked once, on
     the restriction of the stitched coloring, which catches a bad block
     coloring and a stitching fault alike; by the block lemma (see ``verify``)
-    the whole graph then passes.
+    the whole graph then passes.  A trivial block, a K2, has no nonadjacent
+    pair, so only its local coloring's totality is checked.
     """
     if len(per_block) != dec.r:
         raise ValueError(f"expected {dec.r} block colorings, got {len(per_block)}")
@@ -236,6 +237,8 @@ def stitch_colorings(dec: BlockDecomposition, per_block: Sequence[Mapping[int, i
         for local_v, parent_v in enumerate(block.vertices):
             global_coloring[parent_v] = rename[local[local_v]]
     for block in dec.blocks:
+        if block.trivial:
+            continue
         bg = block.graph
         # looked up on the module, so a wrapper on verify.is_mvd_coloring sees each check
         verdict = verify.is_mvd_coloring(bg, {i: global_coloring[v] for i, v in enumerate(block.vertices)})

@@ -6,18 +6,21 @@ implementation paths it validates.  Reference helpers that the library no
 longer needs also live here: the restricted-growth partition enumerator that
 the exact search used to draw from, ``restrict``, the census generator that
 attaches an ear at every vertex pair, ``triangle_blocks_value``, which
-reads the library's block decomposition, and ``reference_parse_matrix``, the
-whole-file tokenising matrix reader that the one-pass reader replaced.
+reads the library's block decomposition, ``reference_parse_matrix``, the
+whole-file tokenising matrix reader that the one-pass reader replaced, and
+``reference_canonical_labelling``, the canonical search whose refinement sorts
+every touched cell whole, which the move-only-touched-vertices refinement
+replaced.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from mvdcolor.blocks import decompose, is_minimally_two_connected
 from mvdcolor.graph import Graph, GraphFormatError, cycle_graph, default_labels, is_connected
-from mvdcolor.iso import canonical_form
+from mvdcolor.iso import Labelling, _relabelled, _twin_classes, canonical_form
 
 
 def components(g: Graph, removed: set[int]) -> list[set[int]]:
@@ -283,3 +286,85 @@ def reference_parse_matrix(text: str) -> tuple[Graph, Optional[dict[int, int]]]:
     if colors[0] is None:
         return g, None
     return g, dict(enumerate(colors))  # type: ignore[arg-type]
+
+
+def _reference_split(lab: list[int], start: list[int], end: list[int], c: int, key: Callable) -> list[tuple[int, int]]:
+    """Sort the cell at c by key and cut it where the key changes; the fragments' bounds."""
+    e = end[c]
+    lab[c:e] = sorted(lab[c:e], key=key)
+    keys = [key(v) for v in lab[c:e]]
+    cuts = [c] + [c + i for i in range(1, e - c) if keys[i] != keys[i - 1]] + [e]
+    for a, b in zip(cuts, cuts[1:]):
+        end[a] = b
+        for v in lab[a:b]:
+            start[v] = a
+    return list(zip(cuts, cuts[1:]))
+
+
+def _reference_refine(nbrs: Sequence[Sequence[int]], lab: list[int], start: list[int], end: list[int],
+                      queue: list[int]) -> None:
+    """Split the ordered partition until equitable: each splitter sorts every cell it
+    touches by neighbour count, and queues all fragments of an unqueued cell but the
+    first largest."""
+    queued = set(queue)
+    for s in queue:  # the queue grows while it is read
+        queued.discard(s)
+        count: dict[int, int] = {}
+        for u in lab[s:end[s]]:
+            for w in nbrs[u]:
+                count[w] = count.get(w, 0) + 1
+        for c in sorted({start[w] for w in count}):
+            frags = _reference_split(lab, start, end, c, lambda v: count.get(v, 0))
+            if c not in queued:
+                frags.remove(max(frags, key=lambda f: f[1] - f[0]))
+            queue.extend(a for a, _ in frags if a not in queued)
+            queued.update(a for a, _ in frags)
+
+
+def reference_canonical_labelling(g: Graph) -> Labelling:
+    """The canonical search with a partition copied at every node and refined by
+    whole-cell sorts, scanning every cell at every node; no node budget."""
+    n, nbrs, twins = g.order, g.neighbors, _twin_classes(g)
+    best: Optional[tuple] = None
+    gens: list[dict[int, int]] = []
+    stack: list[tuple] = []
+    node: Optional[tuple] = (list(range(n)), [0] * n, [n] * (n + 1), [], [0])
+    while node is not None:
+        lab, start, end, path, splitters = node
+        while splitters:
+            _reference_refine(nbrs, lab, start, end, splitters)
+            cells = [(end[c] - c, c) for c in set(start) if end[c] - c > 1]
+            twin_cells = [c for _, c in cells if len({twins[v] for v in lab[c:end[c]]}) == 1]
+            splitters = [i for c in twin_cells for i in range(c, end[c])]
+            for c in twin_cells:
+                _reference_split(lab, start, end, c, lambda v: v)
+        if cells:
+            c = min(cells)[1]
+            stack.append((lab, start, end, path, list({twins[v]: v for v in lab[c:end[c]]}.values()), []))
+        else:
+            leaf = (_relabelled(nbrs, lab), lab, path)
+            if best and leaf[0] == best[0]:
+                gens.append({a: b for a, b in zip(best[1], lab) if a != b})
+                del stack[1 + next(i for i, (a, b) in enumerate(zip(path, best[2])) if a != b):]
+            elif not best or leaf[0] < best[0]:
+                best = leaf
+        node = None
+        while stack and node is None:
+            lab, start, end, path, children, tried = stack[-1]
+            if not children:
+                stack.pop()
+                continue
+            w = children.pop()
+            fixing = [p for p in gens if all(start[y] == start[x] for x, y in p.items())] if tried else []
+            orbit, todo = {w}, [w]
+            for x in todo:
+                new = {p.get(x, x) for p in fixing} - orbit
+                orbit |= new
+                todo.extend(new)
+            if orbit.isdisjoint(tried):
+                tried.append(w)
+                lab, start, end = lab[:], start[:], end[:]
+                _reference_split(lab, start, end, start[w], lambda v: v != w)
+                node = (lab, start, end, path + [w], [start[w]])
+    swaps = [{v: t, t: v} for v, t in enumerate(twins) if t != v]
+    return Labelling(best[1], best[0], gens + swaps)

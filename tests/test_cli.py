@@ -6,6 +6,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 PKG = [sys.executable, "-m", "mvdcolor"]
 
@@ -174,14 +176,14 @@ def test_iso_subcommand(tmp_path, data_dir):
     assert "NOT ISOMORPHIC" in proc.stdout
 
 
-@pytest.mark.parametrize("name, budget", [("P1500", 3.0), ("random_tree(1000)", 10.0)])
+@pytest.mark.parametrize("name, budget", [("P1500", 3.0), ("random_tree(1000)", 10.0), ("random_tree(5000)", 3.0)])
 def test_iso_large_sparse_graphs_within_budget(tmp_path, name, budget):
     import random
 
     from builders import random_tree
     from mvdcolor.graph import format_edge_list, induced_subgraph, path_graph
 
-    g = path_graph(1500) if name == "P1500" else random_tree(random.Random(1), 1000)
+    g = path_graph(1500) if name == "P1500" else random_tree(random.Random(1), int(name[12:-1]))
     perm = list(range(g.order))
     random.Random(2).shuffle(perm)
     h = induced_subgraph(g, perm)
@@ -381,6 +383,32 @@ def test_solve_verifies_each_block_once(data_dir, c9_file, capsys, monkeypatch):
     assert calls == []
 
 
+def test_solve_skips_the_verifier_on_trivial_blocks(tmp_path, capsys, monkeypatch):
+    import random
+
+    import mvdcolor.verify as verify
+    from builders import attach_blocks, random_tree
+    from mvdcolor.blocks import decompose
+    from mvdcolor.graph import Graph, complete_graph, cycle_graph, format_matrix
+
+    calls = []
+    real = verify.is_mvd_coloring
+    monkeypatch.setattr(verify, "is_mvd_coloring", lambda *a: calls.append(a[0].order) or real(*a))
+    rng = random.Random(13)
+    tree = tmp_path / "tree.txt"
+    tree.write_text(format_matrix(random_tree(rng, 48)))
+    main_out(capsys, "solve", str(tree), "--json")
+    assert calls == []
+    bridge = Graph.from_edges(["a", "b"], [(0, 1)])
+    glued = attach_blocks(rng, [bridge, bridge, cycle_graph(5), complete_graph(4), cycle_graph(6)], 12)
+    path = tmp_path / "glued.txt"
+    path.write_text(format_matrix(glued))
+    main_out(capsys, "solve", str(path))
+    nontrivial = [b.graph.order for b in decompose(glued).blocks if not b.trivial]
+    assert 0 < len(nontrivial) < decompose(glued).r
+    assert sorted(calls) == sorted(nontrivial)
+
+
 def test_exact_solve_loads_no_catalog(data_dir, c9_file, capsys, monkeypatch):
     import mvdcolor.cli as cli
 
@@ -461,3 +489,18 @@ def test_main_calls_share_no_parser_state(data_dir, c9_file, capsys, monkeypatch
     plain = same_as_fresh_process("solve", c9_file)
     assert "method: block-composed" in plain and "closed-form" in plain
     assert calls == []
+
+
+def _containers(inner):
+    """Lists, tuples, and dicts keyed by one scalar type each (``sort_keys`` needs comparable keys)."""
+    keys = (st.text(), st.integers(), st.booleans(), st.floats())
+    return st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=3).map(tuple),
+                     *(st.dictionaries(key, inner, max_size=4) for key in keys))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(), _containers, max_leaves=20))
+def test_json_text_matches_json_dumps(value):
+    from mvdcolor.cli import _json_text
+
+    assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)

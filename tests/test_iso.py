@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -19,15 +20,15 @@ from mvdcolor.graph import (
 )
 from mvdcolor.iso import (
     CANONICAL_MAX_ORDER,
-    _refine,
+    _Partition,
     canonical_form,
     canonical_labelling,
     find_isomorphism,
     transfer_coloring,
 )
 from mvdcolor.verify import is_mvd_coloring
-from builders import random_connected_graph
-from oracles import brute_force_isomorphism
+from builders import random_connected_graph, random_tree
+from oracles import brute_force_isomorphism, reference_canonical_labelling
 
 
 def shuffled_copy(g, rng):
@@ -214,9 +215,9 @@ def srg_16_6_2_2_pair() -> tuple[Graph, Graph]:
 
 def test_refinement_leaves_strongly_regular_graphs_in_one_cell():
     for g in srg_16_6_2_2_pair():
-        lab, start, end = list(range(16)), [0] * 16, [16] * 17
-        _refine(g.neighbors, lab, start, end, [0])
-        assert end[0] == 16 and set(start) == {0}
+        p = _Partition(16)
+        p.refine(g.neighbors, [0], set())
+        assert p.end[0] == 16 and set(p.cell) == {0}
 
 
 def test_search_agrees_with_networkx():
@@ -256,23 +257,71 @@ def test_search_agrees_with_networkx():
         assert (keys[0] == keys[1]) == want
 
 
+def cubic(rng: random.Random, n: int, offset: int = 0) -> list[tuple[int, int]]:
+    """The edges of a random simple cubic graph on offset .. offset + n - 1."""
+    while True:
+        stubs = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(stubs)
+        edges = {(min(a, b) + offset, max(a, b) + offset) for a, b in zip(stubs[::2], stubs[1::2]) if a != b}
+        if len(edges) == 3 * n // 2:
+            return sorted(edges)
+
+
 def test_canonical_labelling_is_invariant_on_regular_graphs():
     """Random cubic graphs, alone and in disjoint pairs: refinement leaves them
     in one cell, so the search must prune by automorphisms without losing the
     least leaf."""
     rng = random.Random(8)
-
-    def cubic(n: int, offset: int = 0) -> list[tuple[int, int]]:
-        while True:
-            stubs = [v for v in range(n) for _ in range(3)]
-            rng.shuffle(stubs)
-            edges = {(min(a, b) + offset, max(a, b) + offset) for a, b in zip(stubs[::2], stubs[1::2]) if a != b}
-            if len(edges) == 3 * n // 2:
-                return sorted(edges)
-
-    graphs = [Graph.from_edges(default_labels(n), cubic(n)) for n in (8, 10, 12, 14, 16) for _ in range(8)]
-    graphs += [Graph.from_edges(default_labels(16), cubic(8) + cubic(8, 8)) for _ in range(40)]
+    graphs = [Graph.from_edges(default_labels(n), cubic(rng, n)) for n in (8, 10, 12, 14, 16) for _ in range(8)]
+    graphs += [Graph.from_edges(default_labels(16), cubic(rng, 8) + cubic(rng, 8, 8)) for _ in range(40)]
     for g in graphs:
         relabelled = canonical_labelling(g)[1]
         for _ in range(5):
             assert canonical_labelling(shuffled_copy(g, rng))[1] == relabelled
+
+
+def test_search_matches_reference_search():
+    """The order, the relabelled graph (so the key) and the automorphisms all equal those
+    of the search that sorts every touched cell whole and copies the partition per node."""
+    rng = random.Random(2014)
+    graphs = [g for blocks in generate_minimal_blocks_up_to(10).values() for g in blocks]
+    graphs += [path_graph(n) for n in (2, 3, 50, 300)] + [cycle_graph(n) for n in (3, 50, 300)]
+    graphs += [random_tree(rng, n) for n in (50, 50, 300, 300)]
+    graphs += [theta_graph([1] * k) for k in (2, 5, 8)] + [star_graph(k) for k in (2, 5, 9)]
+    graphs += [with_twins(rng, random_connected_graph(rng, rng.randint(2, 7)), rng.randint(1, 4)) for _ in range(200)]
+    graphs += [Graph.from_edges(default_labels(n), cubic(rng, n)) for n in (8, 12, 16, 20) for _ in range(5)]
+    graphs += [Graph.from_edges(default_labels(16), cubic(rng, 8) + cubic(rng, 8, 8)) for _ in range(5)]
+    graphs += [*srg_16_6_2_2_pair(), complete_graph(1), complete_graph(2), complete_graph(9)]
+    graphs += [shuffled_copy(g, rng) for g in graphs]
+    graphs += [random_connected_graph(rng, rng.randint(2, 12)) for _ in range(3000)]
+    for g in graphs:
+        assert canonical_labelling(g) == reference_canonical_labelling(g), g.edges()
+
+
+LARGE_SPARSE = {
+    "P10000": lambda: path_graph(10_000),
+    "C2000": lambda: cycle_graph(2000),
+    "random_tree(10000)": lambda: random_tree(random.Random(1), 10_000),
+}
+
+
+@pytest.mark.parametrize("name, budget", [("P10000", 1.0), ("C2000", 0.3), ("random_tree(10000)", 3.0)])
+def test_canonical_labelling_large_sparse_within_budget(name, budget):
+    g = LARGE_SPARSE[name]()
+    t0 = time.time()
+    labelling = canonical_labelling(g)
+    elapsed = time.time() - t0
+    ok = elapsed < budget
+    line = f"canonical_labelling {name}: {'PASS' if ok else 'FAIL (over budget)'} ({elapsed:.2f}s of {budget:.1f}s budget)"
+    print(line)
+    pos = {v: i for i, v in enumerate(labelling.order)}
+    assert sorted(labelling.order) == list(range(g.order))
+    assert labelling.relabelled == tuple(tuple(sorted(pos[w] for w in g.neighbors[v])) for v in labelling.order)
+    assert ok, line
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", sorted(LARGE_SPARSE))
+def test_large_sparse_labelling_matches_reference_search(name):
+    g = LARGE_SPARSE[name]()
+    assert canonical_labelling(g) == reference_canonical_labelling(g)

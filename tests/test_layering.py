@@ -52,3 +52,27 @@ def test_solver_does_not_import_the_catalog_at_run_time():
 def test_block_search_is_private_to_blocks():
     users = sorted(p.name for p in SRC.glob("*.py") if "_dfs_engine" in p.read_text(encoding="utf-8"))
     assert users == ["blocks.py"]
+
+
+def _self_calls(tree: ast.AST) -> set[str]:
+    """Functions that call themselves by name, as ``f(...)`` or ``obj.f(...)``."""
+    found: set[str] = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for call in ast.walk(fn):
+                if isinstance(call, ast.Call):
+                    callee = call.func
+                    name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
+                    if name == fn.name:
+                        found.add(fn.name)
+    return found
+
+
+def test_self_calls_are_found():
+    tree = ast.parse("def f(n):\n    return f(n - 1)\nclass P:\n    def g(self):\n        self.g()\n    def h(self):\n        self.g()\n")
+    assert _self_calls(tree) == {"f", "g"}
+
+
+def test_iso_search_is_iterative():
+    # a recursive search would raise RecursionError on long paths
+    assert _self_calls(ast.parse((SRC / "iso.py").read_text(encoding="utf-8"))) == set()
