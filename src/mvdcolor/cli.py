@@ -307,22 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _json_text(value: object, indent: str = "") -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte.  An indent sends
-    ``json`` to its pure-Python encoder, so containers are laid out here and only
-    scalars and keys go through ``json.dumps``, in C."""
-    inner = indent + "  "
-    if isinstance(value, dict) and value:
-        items = (f"{json.dumps(k if isinstance(k, str) else json.dumps(k))}: {_json_text(v, inner)}"
-                 for k, v in sorted(value.items()))
-    elif isinstance(value, (list, tuple)) and value:
-        items = (_json_text(v, inner) for v in value)
-    else:
-        return json.dumps(value)
-    opening, closing = "{}" if isinstance(value, dict) else "[]"
-    return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{closing}"
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -337,7 +321,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_INPUT
     report = {"command": ["mvdcolor"] + list(argv), **report, "exit_code": code}
     if getattr(args, "json", False):
-        print(_json_text(report))
+        print(json.dumps(report, indent=2, sort_keys=True))
     else:
         for line in lines:
             print(line)

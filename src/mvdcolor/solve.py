@@ -21,7 +21,7 @@ from . import verify
 from .blocks import Block, BlockDecomposition, decompose, is_minimally_two_connected
 from .graph import Graph, GuardError, _bits, cycle_order, is_complete, is_connected, theta_threads
 from .iso import transfer_coloring
-from .verify import _require_total, color_count, pair_rows, partition_passes
+from .verify import _classes, _require_total, color_count, pair_rows, partition_passes
 
 if TYPE_CHECKING:
     from .catalog import Catalog
@@ -216,10 +216,12 @@ def stitch_colorings(dec: BlockDecomposition, per_block: Sequence[Mapping[int, i
     vertex's fixed global color and every other class receives a fresh color,
     allocated consecutively in processing order.  The result uses exactly (sum
     of per-block color counts) - r + 1 colors.  Each block is checked once, on
-    the restriction of the stitched coloring, which catches a bad block
-    coloring and a stitching fault alike; by the block lemma (see ``verify``)
-    the whole graph then passes.  A trivial block, a K2, has no nonadjacent
-    pair, so only its local coloring's totality is checked.
+    the restriction of the stitched coloring, with the exact search's pass
+    test; that catches a bad block coloring and a stitching fault alike, and
+    only a failure runs the full verifier, to name the least failing pair.  By
+    the block lemma (see ``verify``) the whole graph then passes.  A trivial
+    block, a K2, has no nonadjacent pair, so only its local coloring's
+    totality is checked.
     """
     if len(per_block) != dec.r:
         raise ValueError(f"expected {dec.r} block colorings, got {len(per_block)}")
@@ -240,10 +242,9 @@ def stitch_colorings(dec: BlockDecomposition, per_block: Sequence[Mapping[int, i
         if block.trivial:
             continue
         bg = block.graph
-        # looked up on the module, so a wrapper on verify.is_mvd_coloring sees each check
-        verdict = verify.is_mvd_coloring(bg, {i: global_coloring[v] for i, v in enumerate(block.vertices)})
-        if not verdict.ok:
-            x, y = verdict.witness  # type: ignore[misc]
+        colors = [global_coloring[v] for v in block.vertices]
+        if not verify.partition_passes(bg, [mask for _, mask in _classes(colors)], pair_rows(bg), {}):
+            x, y = verify.is_mvd_coloring(bg, dict(enumerate(colors))).witness  # type: ignore[misc]
             raise ValueError(
                 "block coloring fails verification on block "
                 f"{{{', '.join(sorted(bg.labels))}}}: "

@@ -6,8 +6,6 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 PKG = [sys.executable, "-m", "mvdcolor"]
 
@@ -373,8 +371,8 @@ def test_solve_verifies_each_block_once(data_dir, c9_file, capsys, monkeypatch):
     from mvdcolor.graph import load_graph
 
     calls = []
-    real = verify.is_mvd_coloring
-    monkeypatch.setattr(verify, "is_mvd_coloring", lambda *a: calls.append(1) or real(*a))
+    real = verify.partition_passes
+    monkeypatch.setattr(verify, "partition_passes", lambda *a: calls.append(1) or real(*a))
     example = str(data_dir / "example17.txt")
     main_out(capsys, "solve", example)
     assert len(calls) == decompose(load_graph(example)[0]).r == 2
@@ -392,8 +390,8 @@ def test_solve_skips_the_verifier_on_trivial_blocks(tmp_path, capsys, monkeypatc
     from mvdcolor.graph import Graph, complete_graph, cycle_graph, format_matrix
 
     calls = []
-    real = verify.is_mvd_coloring
-    monkeypatch.setattr(verify, "is_mvd_coloring", lambda *a: calls.append(a[0].order) or real(*a))
+    real = verify.partition_passes
+    monkeypatch.setattr(verify, "partition_passes", lambda *a: calls.append(a[0].order) or real(*a))
     rng = random.Random(13)
     tree = tmp_path / "tree.txt"
     tree.write_text(format_matrix(random_tree(rng, 48)))
@@ -491,16 +489,36 @@ def test_main_calls_share_no_parser_state(data_dir, c9_file, capsys, monkeypatch
     assert calls == []
 
 
-def _containers(inner):
-    """Lists, tuples, and dicts keyed by one scalar type each (``sort_keys`` needs comparable keys)."""
-    keys = (st.text(), st.integers(), st.booleans(), st.floats())
-    return st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=3).map(tuple),
-                     *(st.dictionaries(key, inner, max_size=4) for key in keys))
+@pytest.fixture()
+def report_inputs(tmp_path, data_dir) -> dict:
+    from mvdcolor.graph import cycle_graph, format_matrix, induced_subgraph
+
+    files = {"example": data_dir / "example17.txt", "coloring": data_dir / "example17_coloring.txt",
+             "dot": tmp_path / "g.dot", "catalog": tmp_path / "cat", "bad": tmp_path / "bad.txt"}
+    files["bad"].write_text("a:1\nb:2\nc:1\nd:3\n")
+    for name, g in (("c4", cycle_graph(4)), ("c5", cycle_graph(5)),
+                    ("c5_moved", induced_subgraph(cycle_graph(5), [2, 0, 3, 1, 4]))):
+        files[name] = tmp_path / f"{name}.txt"
+        files[name].write_text(format_matrix(g))
+    return {name: str(path) for name, path in files.items()}
 
 
-@settings(max_examples=400, deadline=None)
-@given(st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(), _containers, max_leaves=20))
-def test_json_text_matches_json_dumps(value):
-    from mvdcolor.cli import _json_text
+@pytest.mark.parametrize("args, code", [
+    (("decompose", "{example}"), 0),
+    (("solve", "{example}"), 0),
+    (("verify", "{example}", "{coloring}"), 0),
+    (("verify", "{c4}", "{bad}"), 1),
+    (("iso", "{c5}", "{c5_moved}"), 0),
+    (("iso", "{c5}", "{c4}"), 1),
+    (("catalog", "build", "--max-order", "6", "--out", "{catalog}"), 0),
+    (("classify", "{example}"), 0),
+    (("bound", "{example}"), 0),
+    (("export-dot", "{example}", "--coloring", "{coloring}", "--out", "{dot}"), 0),
+], ids=["decompose", "solve", "verify-pass", "verify-fail", "iso", "iso-not", "catalog-build", "classify",
+        "bound", "export-dot"])
+def test_json_reports_use_json_dumps_layout(report_inputs, capsys, args, code):
+    from mvdcolor.cli import main
 
-    assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+    assert main([arg.format(**report_inputs) for arg in args] + ["--json"]) == code
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
