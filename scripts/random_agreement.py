@@ -2,7 +2,8 @@
 """Stress the composition identity: blockwise value vs whole-graph exact search.
 
 Samples random connected graphs, solves each both ways, and reports any
-disagreement (there should be none).
+disagreement (there should be none).  Exits 1 when a sample disagrees, so a
+job that runs it fails.
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ sys.path.insert(0, str(Path(__file__).parent.parent / "tests"))
 from builders import random_connected_graph  # noqa: E402
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--samples", type=int, default=300)
     parser.add_argument("--max-order", type=int, default=9)
     parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     rng = random.Random(args.seed)
     t0 = time.time()
@@ -45,7 +46,8 @@ def main() -> None:
         f"{args.samples} samples, {disagreements} disagreements, "
         f"{time.time() - t0:.1f}s"
     )
+    return 1 if disagreements else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

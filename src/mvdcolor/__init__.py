@@ -21,11 +21,9 @@ from .catalog import (
     CatalogEntry,
     CatalogError,
     build_catalog,
-    generate_minimal_blocks,
     load_catalog,
     save_catalog,
     theta_graph,
-    triangle_free,
 )
 from .graph import (
     Graph,
@@ -41,6 +39,7 @@ from .graph import (
     path_graph,
     star_graph,
     to_dot,
+    triangle_free,
 )
 from .iso import canonical_form, find_isomorphism, transfer_coloring
 from .solve import (
@@ -79,7 +78,6 @@ __all__ = [
     "decompose",
     "find_isomorphism",
     "format_matrix",
-    "generate_minimal_blocks",
     "induced_subgraph",
     "is_connected",
     "is_minimally_two_connected",

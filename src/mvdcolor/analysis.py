@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .blocks import BlockDecomposition, decompose, is_minimally_two_connected
-from .catalog import Catalog, triangle_free
-from .graph import Graph, cycle_order, induced_subgraph, is_connected, theta_threads
+from .catalog import Catalog
+from .graph import Graph, cycle_order, induced_subgraph, is_connected, theta_threads, triangle_free
 from .iso import CANONICAL_MAX_ORDER, canonical_form
 from .solve import mvd_via_blocks
 

@@ -10,9 +10,9 @@ class.  Each minimal candidate is labelled once, and a stored block's
 automorphisms from that search leave one ear per orbit of vertex pairs to
 try.  ``build_catalog`` solves each census block in closed form where
 ``solve.mvd_closed_form`` certifies one (cycles, and thetas whose coloring
-meets the theta bound) and with ``mvd_exact`` otherwise; ``Catalog.add``,
-the one way into a catalog, verifies every stored coloring before indexing
-it, so built and loaded entries are checked alike.
+meets the pair bound of their hubs) and with ``mvd_exact`` otherwise;
+``Catalog.add``, the one way into a catalog, verifies every stored coloring
+before indexing it, so built and loaded entries are checked alike.
 """
 
 from __future__ import annotations
@@ -68,13 +68,6 @@ def theta_graph(spec: Sequence[int]) -> Graph:
     return Graph.from_edges(labels, edges)
 
 
-def triangle_free(g: Graph) -> bool:
-    for u, v in g.edges():
-        if g.adj_masks[u] & g.adj_masks[v]:
-            return False
-    return True
-
-
 def _ear_extensions(g: Graph, internal: int, automorphisms: Sequence[dict[int, int]]) -> Iterable[Graph]:
     """g with one ear of ``internal`` new vertices joining the lex-least
     nonadjacent pair of each orbit of the automorphisms on vertex pairs.
@@ -117,11 +110,6 @@ def generate_minimal_blocks_up_to(max_order: int) -> dict[int, list[Graph]]:
                         found = canonical_labelling(candidate)
                         levels[n].setdefault(found.key, (candidate, found.automorphisms))
     return {n: [levels[n][key][0] for key in sorted(levels[n])] for n in orders}
-
-
-def generate_minimal_blocks(n: int) -> list[Graph]:
-    """All minimally 2-connected graphs of order n, up to isomorphism."""
-    return generate_minimal_blocks_up_to(n)[n]
 
 
 @dataclass(frozen=True)

@@ -171,6 +171,69 @@ def is_complete(g: Graph) -> bool:
     return g.size == n * (n - 1) // 2
 
 
+def triangle_free(g: Graph) -> bool:
+    masks = g.adj_masks
+    return not any(masks[u] & masks[v] for u, v in g.edges())
+
+
+def disjoint_paths(g: Graph, a: int, b: int) -> list[list[int]]:
+    """A maximum set of internally disjoint a-b paths, each as a walk
+    [a, ..., b], ordered by the neighbour of a it starts with.
+
+    Augmenting paths on the vertex-split graph: vertex v becomes an in-node
+    2v and an out-node 2v + 1 joined by an arc of capacity 1, and edge vw
+    becomes the arcs 2v + 1 -> 2w and 2w + 1 -> 2v.  A unit flow from a's
+    out-node to b's in-node uses each inner vertex at most once, so it splits
+    into internally disjoint paths, and by Menger its largest value is the
+    number the function returns.  Each breadth-first search costs O(n + m),
+    and there are k + 1 of them for k paths.  When a and b are adjacent, the
+    edge ab is one of the paths.
+    """
+    if a == b:
+        raise ValueError("disjoint paths need two distinct ends")
+    nbrs = g.neighbors
+    source, sink = 2 * a + 1, 2 * b
+    flow: set[tuple[int, int]] = set()  # arcs carrying one unit
+    while True:
+        parent = {source: source}
+        queue = [source]
+        for x in queue:
+            if x == sink:
+                break
+            v = x >> 1
+            if x & 1:  # out-node: unused edge arcs, or back into v's in-node
+                steps = [2 * w for w in nbrs[v] if (x, 2 * w) not in flow]
+                if (x - 1, x) in flow:
+                    steps.append(x - 1)
+            else:  # in-node: through v once, or back along a used edge arc
+                steps = [2 * u + 1 for u in nbrs[v] if (2 * u + 1, x) in flow]
+                if v != a and v != b and (x, x + 1) not in flow:
+                    steps.append(x + 1)
+            for y in steps:
+                if y not in parent:
+                    parent[y] = x
+                    queue.append(y)
+        if sink not in parent:
+            break
+        y = sink
+        while y != source:
+            x = parent[y]
+            if (y, x) in flow:
+                flow.remove((y, x))
+            else:
+                flow.add((x, y))
+            y = x
+    step = {x >> 1: y >> 1 for x, y in flow if x & 1 and x != source}
+    paths = []
+    for first in nbrs[a]:
+        if (source, 2 * first) in flow:
+            walk = [a, first]
+            while walk[-1] != b:
+                walk.append(step[walk[-1]])
+            paths.append(walk)
+    return paths
+
+
 def cycle_order(g: Graph) -> Optional[list[int]]:
     """Vertices of g in cyclic order if g is a cycle of order >= 3, else None."""
     n = g.order
@@ -377,14 +440,6 @@ def parse_edge_list(text: str) -> Graph:
     if len(labels) != n:
         raise GraphFormatError(f"declared {n} vertices, found {len(labels)}", line=head_line)
     return Graph.from_edges(labels, set((min(u, v), max(u, v)) for u, v in edges))
-
-
-def format_edge_list(g: Graph) -> str:
-    """Serialize to the edge-list format (inverse of parse_edge_list)."""
-    out = [f"n {g.order}"]
-    out.extend(f"{g.labels[u]} {g.labels[v]}" for u, v in g.edges())
-    out.extend(g.labels[v] for v in range(g.order) if not g.neighbors[v])
-    return "\n".join(out) + "\n"
 
 
 def parse_coloring(text: str, g: Graph) -> dict[int, int]:

@@ -1,15 +1,17 @@
 """Computing the disconnection number: exact search, closed forms, blocks.
 
 The exact solver walks the colourings of each class count k, descending from
-the order, as restricted-growth strings: it colours one vertex at a time,
-keeps a bitmask per colour class, and checks each full assignment against
-those masks.  A first success at k classes proves the value is k.
-Closed forms cover complete graphs, cycles, and theta graphs whose
-constructive coloring reaches a proved upper bound; thetas that miss it go
-to exact search.  Block-composed solving decomposes the graph, solves each
-block via catalog lookup, closed form, or exact search, stitches the
-per-block colorings across cut vertices in reverse decomposition order, and
-composes the value as ``sum of block values - r + 1``.
+an upper bound, as restricted-growth strings: it colours one vertex at a
+time, keeps a bitmask per colour class, and checks each full assignment
+against those masks.  A first success at k classes proves the value is k.
+The bound is the order, or, on a 2-connected triangle-free graph, the
+least pair bound (see ``certified_bound``).  Closed forms cover complete
+graphs, cycles, and theta graphs whose constructive coloring reaches the
+pair bound of their hubs; thetas that miss it go to exact search.
+Block-composed solving decomposes the graph, solves each block via catalog
+lookup, closed form, or exact search, stitches the per-block colorings
+across cut vertices in reverse decomposition order, and composes the value
+as ``sum of block values - r + 1``.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from . import verify
-from .blocks import Block, BlockDecomposition, decompose, is_minimally_two_connected
-from .graph import Graph, GuardError, _bits, cycle_order, is_complete, is_connected, theta_threads
+from .blocks import Block, BlockDecomposition, decompose, is_two_connected
+from .graph import Graph, GuardError, _bits, cycle_order, disjoint_paths, is_complete, is_connected
+from .graph import theta_threads, triangle_free
 from .iso import transfer_coloring
 from .verify import _classes, _require_total, color_count, pair_rows, partition_passes
 
@@ -87,8 +90,14 @@ def mvd_exact(g: Graph) -> MvdResult:
     full assignment; a first pass at k proves the value is k.  Guarded to
     order 11 (Bell-number search).  The search starts at n, where the one
     partition is all singletons (so a complete graph gets n distinct
-    colours), or at floor(n/2), the known upper bound, when the input is
-    minimally 2-connected of order >= 4.
+    colours), or, when the input is 2-connected and triangle-free of order
+    >= 4, at the least pair bound of ``certified_bound`` over its
+    nonadjacent pairs (see ``_best_pair``).  That bound is at most floor(n/2),
+    since a 2-connected graph joins every pair by two disjoint paths, and so
+    it covers every minimal block of order >= 4, all of which are
+    triangle-free.  Any level above the value fails, so starting at a proved
+    upper bound skips only failing levels, and the walk returns the same
+    first passing leaf at k = value as a walk from n.
 
     Coarsening monotonicity: merging two classes C and D of a passing
     partition gives a passing partition.  If C - {x, y} separates a
@@ -105,8 +114,8 @@ def mvd_exact(g: Graph) -> MvdResult:
     if not is_connected(g):
         raise ValueError("mvd is defined for connected graphs")
     start = n
-    if n >= 4 and is_minimally_two_connected(g):
-        start = n // 2
+    if n >= 4 and triangle_free(g) and is_two_connected(g):
+        start = certified_bound(g, *_best_pair(g))
     rows = pair_rows(g)
     memo: dict[int, list[int]] = {}
     for k in range(start, 0, -1):
@@ -114,6 +123,67 @@ def mvd_exact(g: Graph) -> MvdResult:
         if _walk(g, n, rows, memo, masks, 1, 1):
             return MvdResult(k, {v: c + 1 for c, mask in enumerate(masks) for v in _bits(mask)}, "exact")
     raise AssertionError("unreachable: the single-class coloring always passes")
+
+
+def certified_bound(g: Graph, a: int, b: int, paths: Sequence[Sequence[int]]) -> int:
+    """The upper bound 1 + (n - k) // 2 on mvd(g) that k internally disjoint
+    walks ``paths`` from a to b certify; ValueError when g is not 2-connected
+    and triangle-free, when a and b are not a nonadjacent pair, or when the
+    walks are not internally disjoint a-b walks of g.
+
+    Let a passing coloring use c classes.
+
+    - a and b are nonadjacent, so some class holds an a-b cut, which meets
+      the k walks at k distinct inner vertices;
+    - g is triangle-free and has no vertex of degree < 2, so every vertex has
+      two nonadjacent neighbours, every cut between them contains it, and so
+      every class holds a cut;
+    - g has no cut vertex, so every cut, and so every class, has >= 2
+      vertices.
+
+    So k + 2(c - 1) <= n.  Checked in O(n + m) plus the walks' length: one
+    block search, one AND per edge, and one step per walk vertex.
+    """
+    n = g.order
+    if not (triangle_free(g) and is_two_connected(g)):
+        raise ValueError("the pair bound needs a 2-connected triangle-free graph")
+    if not (0 <= a < n and 0 <= b < n) or a == b or g.has_edge(a, b):
+        raise ValueError(f"ends {a}, {b} are not a nonadjacent pair of g")
+    seen = 1 << a | 1 << b
+    for path in paths:
+        if len(path) < 2 or path[0] != a or path[-1] != b:
+            raise ValueError(f"walk {list(path)} does not run from {a} to {b}")
+        for u, v in zip(path, path[1:]):
+            if not (0 <= v < n and g.has_edge(u, v)):
+                raise ValueError(f"walk step {u}-{v} is not an edge of g")
+        for v in path[1:-1]:
+            if seen >> v & 1:
+                raise ValueError(f"vertex {v} is not a private inner vertex of one walk")
+            seen |= 1 << v
+    return 1 + (n - len(paths)) // 2
+
+
+def _best_pair(g: Graph) -> tuple[int, int, list[list[int]]]:
+    """A nonadjacent pair of g joined by the most internally disjoint paths,
+    and those paths.
+
+    A pair's path count is at most its ends' lesser degree.  Pairs are tried
+    in descending order of it, so the search stops at the first pair whose
+    lesser degree does not exceed the best count found.
+    """
+    degree = [len(nbrs) for nbrs in g.neighbors]
+    pairs = sorted(
+        ((a, b) for a in range(g.order) for b in range(a + 1, g.order) if not g.has_edge(a, b)),
+        key=lambda pair: -min(degree[pair[0]], degree[pair[1]]),
+    )
+    best: tuple[int, int, list[list[int]]] = (-1, -1, [])
+    for a, b in pairs:
+        if min(degree[a], degree[b]) <= len(best[2]):
+            break
+        paths = disjoint_paths(g, a, b)
+        if len(paths) > len(best[2]):
+            best = (a, b, paths)
+    return best
 
 
 def _theta_coloring(threads: Sequence[Sequence[int]]) -> dict[int, int]:
@@ -148,20 +218,13 @@ def _theta_coloring(threads: Sequence[Sequence[int]]) -> dict[int, int]:
 
 def mvd_closed_form(g: Graph) -> Optional[MvdResult]:
     """Known families: complete graphs, cycles, and thetas whose coloring
-    meets the theta bound; else None.
+    meets the pair bound of its hubs; else None.
 
     A theta graph (see ``graph.theta_threads``) has k >= 3 threads between
-    nonadjacent hubs a and b.  It gets ``_theta_coloring``, which is kept
-    only when its color count equals 1 + (n - k) // 2, an upper bound on
-    mvd for every such theta, so the coloring is then optimal:
-
-    - a and b are nonadjacent, so some color class holds an a-b cut, which
-      meets all k threads;
-    - every vertex has two nonadjacent neighbours, and every cut between
-      them contains it, so every class holds a cut;
-    - a 2-connected graph has no cut vertex, so every class has >= 2 vertices.
-
-    So c classes need k + 2(c - 1) <= n vertices.  The count meets the bound
+    nonadjacent hubs a and b; it is 2-connected and triangle-free, so its
+    threads certify the bound 1 + (n - k) // 2 (``certified_bound``).  It
+    gets ``_theta_coloring``, which is kept only when its color count equals
+    that bound, so the coloring is then optimal.  The count meets the bound
     when at most one thread has an even number of inner vertices, or when
     there are three threads and all do (P(500,500,500) gets 750); it misses
     it on, for example, P(2,2,1), and those thetas go to exact search or the
@@ -181,7 +244,7 @@ def mvd_closed_form(g: Graph) -> Optional[MvdResult]:
     if threads is not None:
         coloring = _theta_coloring(threads)
         value = color_count(coloring)
-        if value == 1 + (n - len(threads)) // 2:
+        if value == certified_bound(g, threads[0][0], threads[0][-1], threads):
             return MvdResult(value, coloring, "closed-form")
     return None
 

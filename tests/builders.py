@@ -6,6 +6,7 @@ import itertools
 import random
 from typing import Sequence
 
+from mvdcolor.catalog import generate_minimal_blocks_up_to
 from mvdcolor.graph import Graph, default_labels, is_connected
 
 
@@ -75,3 +76,16 @@ def with_pendants(core: Graph, pendants: int) -> Graph:
     for i in range(pendants):
         edges.append((i % n, n + i))
     return Graph.from_edges(labels, edges)
+
+
+def format_edge_list(g: Graph) -> str:
+    """Serialize to the edge-list format (inverse of ``graph.parse_edge_list``)."""
+    out = [f"n {g.order}"]
+    out.extend(f"{g.labels[u]} {g.labels[v]}" for u, v in g.edges())
+    out.extend(g.labels[v] for v in range(g.order) if not g.neighbors[v])
+    return "\n".join(out) + "\n"
+
+
+def generate_minimal_blocks(n: int) -> list[Graph]:
+    """All minimally 2-connected graphs of order n, up to isomorphism."""
+    return generate_minimal_blocks_up_to(n)[n]

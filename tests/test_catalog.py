@@ -6,23 +6,23 @@ import random
 import pytest
 
 import mvdcolor.catalog as catalog_module
+from mvdcolor.blocks import is_two_connected
 from mvdcolor.catalog import (
     Catalog,
     CatalogEntry,
     CatalogError,
     build_catalog,
     census_text,
-    generate_minimal_blocks,
     generate_minimal_blocks_up_to,
     is_minimally_two_connected,
     load_catalog,
     save_catalog,
     theta_graph,
-    triangle_free,
 )
-from mvdcolor.graph import Graph, complete_graph, cycle_graph, default_labels, induced_subgraph
+from mvdcolor.graph import Graph, complete_graph, cycle_graph, default_labels, induced_subgraph, triangle_free
 from mvdcolor.iso import canonical_form, canonical_labelling, find_isomorphism
 from mvdcolor.solve import mvd_closed_form, mvd_via_blocks
+from builders import generate_minimal_blocks
 from oracles import every_pair_minimal_blocks_up_to, graphs_of_order, oracle_is_minimally_two_connected
 
 
@@ -72,9 +72,11 @@ def test_census_members_small_orders():
 
 
 def test_generated_blocks_are_triangle_free_from_order_4():
-    levels = generate_minimal_blocks_up_to(8)
-    for n in range(4, 9):
-        assert all(triangle_free(g) for g in levels[n])
+    # so the pair bound of ``solve.certified_bound`` applies to every census block
+    levels = generate_minimal_blocks_up_to(10)
+    blocks = [g for n in range(4, 11) for g in levels[n]]
+    assert len(blocks) == 120
+    assert all(triangle_free(g) and is_two_connected(g) for g in blocks)
 
 
 def test_generation_matches_labeled_brute_force_up_to_6():

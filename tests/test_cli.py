@@ -140,7 +140,8 @@ def test_edge_list_input_is_sniffed(tmp_path):
 
 
 def test_solve_long_path_edge_list_within_budget(tmp_path):
-    from mvdcolor.graph import format_edge_list, path_graph
+    from builders import format_edge_list
+    from mvdcolor.graph import path_graph
 
     path = tmp_path / "p1000.txt"
     path.write_text(format_edge_list(path_graph(1000)))
@@ -178,8 +179,8 @@ def test_iso_subcommand(tmp_path, data_dir):
 def test_iso_large_sparse_graphs_within_budget(tmp_path, name, budget):
     import random
 
-    from builders import random_tree
-    from mvdcolor.graph import format_edge_list, induced_subgraph, path_graph
+    from builders import format_edge_list, random_tree
+    from mvdcolor.graph import induced_subgraph, path_graph
 
     g = path_graph(1500) if name == "P1500" else random_tree(random.Random(1), int(name[12:-1]))
     perm = list(range(g.order))
@@ -262,7 +263,8 @@ def test_bound_subcommand(c9_file):
 
 
 def test_bound_long_cycle_within_budget(tmp_path):
-    from mvdcolor.graph import cycle_graph, format_edge_list
+    from builders import format_edge_list
+    from mvdcolor.graph import cycle_graph
 
     path = tmp_path / "c5000.txt"
     path.write_text(format_edge_list(cycle_graph(5000)))

@@ -16,7 +16,6 @@ from mvdcolor.graph import (
     complete_graph,
     cycle_graph,
     default_labels,
-    format_edge_list,
     format_matrix,
     induced_subgraph,
     is_connected,
@@ -28,6 +27,7 @@ from mvdcolor.graph import (
     theta_threads,
     to_dot,
 )
+from builders import format_edge_list
 from builders import random_connected_graph
 from oracles import oracle_separates, reference_parse_matrix
 

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from mvdcolor.blocks import decompose
+from mvdcolor.blocks import decompose, is_two_connected
 from mvdcolor.catalog import (
     generate_minimal_blocks_up_to,
     is_minimally_two_connected,
@@ -19,12 +19,16 @@ from mvdcolor.graph import (
     cycle_graph,
     default_labels,
     load_graph,
+    disjoint_paths,
     path_graph,
     star_graph,
+    triangle_free,
 )
 from mvdcolor.solve import (
     MvdResult,
+    _best_pair,
     _theta_coloring,
+    certified_bound,
     counting_formula,
     mvd_closed_form,
     mvd_compose,
@@ -32,7 +36,7 @@ from mvdcolor.solve import (
     mvd_via_blocks,
     stitch_colorings,
 )
-from mvdcolor.verify import color_count, is_mvd_coloring
+from mvdcolor.verify import _classes, color_count, is_mvd_coloring, pair_rows, partition_passes
 from builders import attach_blocks, random_cactus, random_connected_graph, random_tree, theta_specs
 from oracles import all_set_partitions, oracle_is_mvd, partitions_into_k_classes, restrict
 
@@ -129,14 +133,100 @@ def test_exact_walk_matches_reference_search():
                 graphs.append(Graph.from_edges(b.labels, b.edges() + [rng.choice(free)]))
     graphs += [wheel_graph(n) for n in range(4, 9)]
     graphs += [complete_graph(n) for n in range(2, 8)]
+    graphs += _non_minimal_triangle_free_blocks()
     for g in graphs:
         res = mvd_exact(g)
         assert (res.value, res.coloring) == reference_exact(g), g.edges()
 
 
-def test_fast_assignment_check_matches_public_verifier():
-    from mvdcolor.verify import _classes, pair_rows, partition_passes
+def _non_minimal_triangle_free_blocks() -> list[Graph]:
+    """The cube Q3, K3,3, C6 with the chord (0,3), and the theta P(2,2,0),
+    whose hubs are adjacent: the exact search starts them at the pair bound,
+    the reference search at n."""
+    cube = Graph.from_edges(default_labels(8), [(u, u ^ bit) for u in range(8) for bit in (1, 2, 4) if u < u ^ bit])
+    k33 = Graph.from_edges(default_labels(6), [(u, v) for u in range(3) for v in range(3, 6)])
+    c6 = cycle_graph(6)
+    chorded = Graph.from_edges(c6.labels, c6.edges() + [(0, 3)])
+    graphs = [cube, k33, chorded, theta_graph([2, 2, 0])]
+    for g in graphs:
+        assert triangle_free(g) and is_two_connected(g) and not is_minimally_two_connected(g)
+    return graphs
 
+
+def _half_order_value(g: Graph) -> int:
+    """mvd of a minimal block of order >= 4: the largest k <= floor(n/2), the
+    known upper bound, with a passing partition into k classes."""
+    rows, memo = pair_rows(g), {}
+    for k in range(g.order // 2, 0, -1):
+        for colors in partitions_into_k_classes(g.order, k):
+            if partition_passes(g, [mask for _, mask in _classes(colors)], rows, memo):
+                return k
+    raise AssertionError("the single-class coloring always passes")
+
+
+def _pin_pair_bound_on_census(n: int) -> int:
+    """Every nonadjacent pair's bound is >= the value on the order-n census,
+    the best pair gives the least of them; returns how many blocks it is tight on."""
+    tight = 0
+    for g in generate_minimal_blocks_up_to(n)[n]:
+        value = _half_order_value(g)
+        bounds = [
+            certified_bound(g, a, b, disjoint_paths(g, a, b))
+            for a in range(n) for b in range(a + 1, n) if not g.has_edge(a, b)
+        ]
+        best = certified_bound(g, *_best_pair(g))
+        assert best == min(bounds) >= value, g.edges()
+        tight += best == value
+    return tight
+
+
+def test_pair_bound_holds_on_the_census_to_order_9():
+    assert [_pin_pair_bound_on_census(n) for n in range(4, 10)] == [1, 2, 3, 4, 8, 9]
+
+
+@pytest.mark.slow
+def test_pair_bound_holds_on_the_census_at_order_10():
+    assert _pin_pair_bound_on_census(10) == 17
+
+
+def test_disjoint_paths_match_local_connectivity():
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.connectivity import local_node_connectivity
+
+    rng = random.Random(71)
+    # the augmenting path for the last graph's pair (0, 8) must undo a step through a used vertex
+    rerouted = [(0, 2), (0, 5), (1, 2), (1, 6), (2, 3), (2, 5), (3, 4), (3, 9), (4, 9), (5, 7), (6, 7), (6, 8), (8, 9)]
+    graphs = [random_connected_graph(rng, rng.randint(2, 10)) for _ in range(60)]
+    for g in graphs + [Graph.from_edges(default_labels(10), rerouted)]:
+        h = nx.Graph(g.edges())
+        h.add_nodes_from(range(g.order))
+        nonadjacent = []
+        for a in range(g.order):
+            for b in range(a + 1, g.order):
+                paths = disjoint_paths(g, a, b)
+                assert len(paths) == local_node_connectivity(h, a, b), (g.edges(), a, b)
+                inner = [v for p in paths for v in p[1:-1]]
+                assert len(inner) == len(set(inner)) and not {a, b} & set(inner)
+                for p in paths:
+                    assert p[0] == a and p[-1] == b
+                    assert all(g.has_edge(u, v) for u, v in zip(p, p[1:]))
+                if not g.has_edge(a, b):
+                    nonadjacent.append(len(paths))
+        assert len(_best_pair(g)[2]) == max(nonadjacent, default=0), g.edges()
+    k23 = theta_graph([1, 1, 1])  # hubs 0 and 1, inner vertices 2, 3, 4
+    assert disjoint_paths(k23, 0, 1) == [[0, 2, 1], [0, 3, 1], [0, 4, 1]]
+    assert certified_bound(k23, 0, 1, disjoint_paths(k23, 0, 1)) == 2
+    with pytest.raises(ValueError, match="private inner vertex"):
+        certified_bound(k23, 0, 1, [[0, 2, 1], [0, 3, 1], [0, 2, 1]])
+    with pytest.raises(ValueError, match="not an edge"):
+        certified_bound(k23, 0, 1, [[0, 2, 3, 1]])
+    with pytest.raises(ValueError, match="not a nonadjacent pair"):
+        certified_bound(k23, 0, 2, [[0, 2]])
+    with pytest.raises(ValueError, match="2-connected triangle-free"):
+        certified_bound(complete_graph(4), 0, 1, [])
+
+
+def test_fast_assignment_check_matches_public_verifier():
     rng = random.Random(59)
     for trial in range(80):
         g = random_connected_graph(rng, rng.randint(2, 7))
