@@ -37,7 +37,6 @@ from .graph import (
     load_graph,
     parse_matrix,
     path_graph,
-    star_graph,
     to_dot,
     triangle_free,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "parse_matrix",
     "path_graph",
     "save_catalog",
-    "star_graph",
     "stitch_colorings",
     "theta_graph",
     "to_dot",

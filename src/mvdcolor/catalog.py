@@ -8,11 +8,13 @@ is not a cycle admits an ear decomposition whose ears all keep a degree-2
 vertex, so single-ear extensions of smaller minimal blocks reach the whole
 class.  Each minimal candidate is labelled once, and a stored block's
 automorphisms from that search leave one ear per orbit of vertex pairs to
-try.  ``build_catalog`` solves each census block in closed form where
+try; generation returns that labelling beside each block.
+``build_catalog`` solves each census block in closed form where
 ``solve.mvd_closed_form`` certifies one (cycles, and thetas whose coloring
-meets the pair bound of their hubs) and with ``mvd_exact`` otherwise;
-``Catalog.add``, the one way into a catalog, verifies every stored coloring
-before indexing it, so built and loaded entries are checked alike.
+meets the pair bound of their hubs) and with ``mvd_exact`` otherwise.
+Every entry's coloring is certified before it is indexed, whether it comes
+through ``Catalog.add`` or from ``build_catalog``, so built and loaded
+entries are checked alike.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from typing import Iterable, Optional, Sequence
 
 from .blocks import is_minimally_two_connected
 from .graph import Graph, cycle_graph, default_labels, format_matrix, parse_matrix
-from .iso import canonical_labelling
+from .iso import Labelling, canonical_labelling
 from .solve import mvd_closed_form, mvd_exact
-from .verify import color_count, is_mvd_coloring
+from .verify import color_count, failing_pair
 
 GENERATION_MIN_ORDER = 3
 GENERATION_MAX_ORDER = 10
@@ -92,24 +94,25 @@ def _ear_extensions(g: Graph, internal: int, automorphisms: Sequence[dict[int, i
         yield Graph.from_edges(labels, base + list(zip(path, path[1:])))
 
 
-def generate_minimal_blocks_up_to(max_order: int) -> dict[int, list[Graph]]:
-    """Minimal blocks of every order 3..max_order, each order sorted by canonical form."""
+def generate_minimal_blocks_up_to(max_order: int) -> dict[int, list[tuple[Graph, Labelling]]]:
+    """Minimal blocks of every order 3..max_order, each beside its canonical
+    labelling, each order sorted by canonical form."""
     if not GENERATION_MIN_ORDER <= max_order <= GENERATION_MAX_ORDER:
         raise ValueError(
             f"generation supports orders {GENERATION_MIN_ORDER}..{GENERATION_MAX_ORDER}, got {max_order}"
         )
     orders = range(GENERATION_MIN_ORDER, max_order + 1)
-    levels: dict[int, dict[str, tuple[Graph, list]]] = {n: {} for n in orders}  # key: (block, automorphisms)
+    levels: dict[int, dict[str, tuple[Graph, Labelling]]] = {n: {} for n in orders}
     for n in orders:
         seed = canonical_labelling(cycle_graph(n))
-        levels[n][seed.key] = (cycle_graph(n), seed.automorphisms)
+        levels[n][seed.key] = (cycle_graph(n), seed)
         for smaller in range(GENERATION_MIN_ORDER, n):
-            for g, automorphisms in levels[smaller].values():
-                for candidate in _ear_extensions(g, n - smaller, automorphisms):
+            for g, labelling in levels[smaller].values():
+                for candidate in _ear_extensions(g, n - smaller, labelling.automorphisms):
                     if is_minimally_two_connected(candidate):
                         found = canonical_labelling(candidate)
-                        levels[n].setdefault(found.key, (candidate, found.automorphisms))
-    return {n: [levels[n][key][0] for key in sorted(levels[n])] for n in orders}
+                        levels[n].setdefault(found.key, (candidate, found))
+    return {n: [levels[n][key] for key in sorted(levels[n])] for n in orders}
 
 
 @dataclass(frozen=True)
@@ -132,27 +135,41 @@ class CatalogEntry:
 
 @dataclass
 class Catalog:
-    """Entries indexed by their canonically relabelled graphs; ``add``, the only
-    way in, keeps every coloring passing and no two entries isomorphic."""
+    """Entries indexed by their canonically relabelled graphs.
+
+    ``add`` is the only public way in: it certifies the entry's coloring
+    (``_certify``), labels its graph and indexes it (``_index``), so every
+    coloring passes and no two entries are isomorphic.  ``build_catalog``
+    runs the same two steps but indexes with the labelling that census
+    generation already computed, so no block is labelled twice.
+    """
 
     entries: list[CatalogEntry] = field(default_factory=list)
     _by_canon: dict[tuple, tuple[CatalogEntry, list[int]]] = field(default_factory=dict, repr=False)
     _max_order: int = field(default=0, repr=False)
 
     def add(self, entry: CatalogEntry) -> None:
+        self._certify(entry)
+        self._index(entry, canonical_labelling(entry.graph))
+
+    @staticmethod
+    def _certify(entry: CatalogEntry) -> None:
+        """CatalogError unless the entry's id is free to save and its coloring passes."""
         if f"{entry.id}.txt" == CENSUS_FILE:
             raise CatalogError(f"entry id {entry.id!r} would be saved over the census file")
         try:
-            verdict = is_mvd_coloring(entry.graph, entry.coloring)
+            witness = failing_pair(entry.graph, entry.coloring)
         except ValueError as exc:
             raise CatalogError(f"entry {entry.id!r}: {exc}") from exc
-        if not verdict.ok:
-            x, y = verdict.witness  # type: ignore[misc]
+        if witness is not None:
+            x, y = witness
             labels = entry.graph.labels
             raise CatalogError(
                 f"stored coloring fails verification (no monochromatic cut for {labels[x]!r},{labels[y]!r})"
             )
-        found = canonical_labelling(entry.graph)
+
+    def _index(self, entry: CatalogEntry, found: Labelling) -> None:
+        """Index a certified entry under ``found``, its graph's canonical labelling."""
         if found.relabelled in self._by_canon:
             raise CatalogError(
                 f"entry {entry.id!r} is isomorphic to existing entry {self._by_canon[found.relabelled][0].id!r}"
@@ -178,12 +195,16 @@ class Catalog:
 
 def build_catalog(max_order: int) -> Catalog:
     """Generate the census up to max_order and solve every entry, in closed
-    form where one is certified, else with ``mvd_exact``."""
+    form where one is certified, else with ``mvd_exact``; each entry is
+    certified as ``Catalog.add`` does and indexed under the labelling that
+    generation found."""
     cat = Catalog()
     generated = generate_minimal_blocks_up_to(max_order)
     for n in range(GENERATION_MIN_ORDER, max_order + 1):
-        for i, g in enumerate(generated[n], start=1):
-            cat.add(CatalogEntry(f"graph_{n}Vertex-{i}", g, (mvd_closed_form(g) or mvd_exact(g)).coloring))
+        for i, (g, labelling) in enumerate(generated[n], start=1):
+            entry = CatalogEntry(f"graph_{n}Vertex-{i}", g, (mvd_closed_form(g) or mvd_exact(g)).coloring)
+            cat._certify(entry)
+            cat._index(entry, labelling)
     return cat
 
 

@@ -533,7 +533,3 @@ def path_graph(n: int) -> Graph:
 
 def complete_graph(n: int) -> Graph:
     return Graph.from_edges(default_labels(n), itertools.combinations(range(n), 2))
-
-
-def star_graph(leaves: int) -> Graph:
-    return Graph.from_edges(default_labels(leaves + 1), [(0, i) for i in range(1, leaves + 1)])

@@ -1,13 +1,15 @@
 """Computing the disconnection number: exact search, closed forms, blocks.
 
-The exact solver walks the colourings of each class count k, descending from
-an upper bound, as restricted-growth strings: it colours one vertex at a
-time, keeps a bitmask per colour class, and checks each full assignment
-against those masks.  A first success at k classes proves the value is k.
-The bound is the order, or, on a 2-connected triangle-free graph, the
-least pair bound (see ``certified_bound``).  Closed forms cover complete
-graphs, cycles, and theta graphs whose constructive coloring reaches the
-pair bound of their hubs; thetas that miss it go to exact search.
+The exact solver walks the colourings of a class count k as
+restricted-growth strings: it colours one vertex at a time, keeps a bitmask
+per colour class, and checks each full assignment against those masks.  On
+a 2-connected triangle-free graph it ascends from k = 2 to the least pair
+bound (see ``certified_bound``) and cuts every branch whose classes, grown
+by the uncoloured vertices, already fail; the last passing level is the
+value.  Any other graph keeps the unpruned descent from the order, where a
+first success at k proves the value is k (see ``mvd_exact``).  Closed forms
+cover complete graphs, cycles, and theta graphs whose constructive coloring
+reaches the pair bound of their hubs; thetas that miss it go to exact search.
 Block-composed solving decomposes the graph, solves each block via catalog
 lookup, closed form, or exact search, stitches the per-block colorings
 across cut vertices in reverse decomposition order, and composes the value
@@ -58,11 +60,20 @@ def _walk(
     masks: list[int],
     v: int,
     used: int,
+    check_from: int,
 ) -> bool:
     """Colour vertices v..n-1 (n is g's order) into the classes of ``masks``,
     classes 1..used open, in restricted-growth order; True, with ``masks``
     holding it, at the first partition into exactly ``len(masks)`` classes
     that passes.
+
+    From vertex ``check_from`` on, a branch is cut when the open classes,
+    each grown by every vertex still uncoloured, fail the pass test.  That
+    is sound: a class only grows, so its final content lies inside that
+    union, and a superset of a separating class still separates (see
+    ``mvd_exact``).  So a cut branch holds no passing leaf, and the walk
+    returns the same first leaf as an unpruned one.  The grown views share
+    the leaf memo.  ``check_from`` = n checks leaves only.
 
     A module function, not a closure in ``mvd_exact``: a recursive closure is
     a reference cycle, which would hold the view memo until the cycle
@@ -71,40 +82,50 @@ def _walk(
     k = len(masks)
     if v == n:
         return partition_passes(g, masks, rows, memo)
+    if v >= check_from:
+        left = g.full_mask() >> v << v
+        if not partition_passes(g, [mask | left for mask in masks[:used]], rows, memo):
+            return False
     bit = 1 << v
     # once the unopened classes need every vertex left, v must open one
     for c in range(used if n - v == k - used else 0, min(used + 1, k)):
         masks[c] |= bit
-        if _walk(g, n, rows, memo, masks, v + 1, max(used, c + 1)):
+        if _walk(g, n, rows, memo, masks, v + 1, used + (c == used), check_from):
             return True
         masks[c] ^= bit
     return False
 
 
 def mvd_exact(g: Graph) -> MvdResult:
-    """Maximum class count over all passing partitions, by descending search.
+    """Maximum class count over all passing partitions, by restricted-growth walks.
 
-    For each k from the start down, one walk colours the vertices in turn in
+    For a class count k, one walk colours the vertices in turn in
     restricted-growth order (classes numbered by first appearance, exactly k
     of them, lexicographic), keeps one bitmask per class, and checks each
-    full assignment; a first pass at k proves the value is k.  Guarded to
-    order 11 (Bell-number search).  The search starts at n, where the one
-    partition is all singletons (so a complete graph gets n distinct
-    colours), or, when the input is 2-connected and triangle-free of order
-    >= 4, at the least pair bound of ``certified_bound`` over its
-    nonadjacent pairs (see ``_best_pair``).  That bound is at most floor(n/2),
-    since a 2-connected graph joins every pair by two disjoint paths, and so
-    it covers every minimal block of order >= 4, all of which are
-    triangle-free.  Any level above the value fails, so starting at a proved
-    upper bound skips only failing levels, and the walk returns the same
-    first passing leaf at k = value as a walk from n.
+    full assignment.  Guarded to order 11 (Bell-number search).
+
+    On a 2-connected triangle-free input of order >= 4 the search ascends:
+    k = 2, 3, ... up to the least pair bound of ``certified_bound`` over its
+    nonadjacent pairs (see ``_best_pair``), stopping at the first level that
+    fails, and the last passing level is the value.  Those walks prune from
+    the fourth vertex on (see ``_walk``).  The bound is at most floor(n/2),
+    since a 2-connected graph joins every pair by two disjoint paths, and it
+    covers every minimal block of order >= 4, all of which are
+    triangle-free.  Every other input keeps the unpruned descent from n,
+    where the one partition is all singletons (so a complete graph gets n
+    distinct colours), and a first pass at k proves the value is k.  Pruning
+    it would be as exact; it waits because ``perfbench/run.py`` keeps every
+    op's output, so faster ``solve`` ops raise that workload's peak memory
+    (ROADMAP item 1).  Both searches return the first passing leaf of the
+    same walk at k = value, so they give the same coloring.
 
     Coarsening monotonicity: merging two classes C and D of a passing
     partition gives a passing partition.  If C - {x, y} separates a
     nonadjacent pair x, y, then so does its superset (C u D) - {x, y}, which
     still avoids x and y.  So a passing k-partition yields a passing
     (k-1)-partition, and the class counts that pass run 1..mvd(G) without a
-    gap.
+    gap: the first failing level ends the ascent, and the descent skips only
+    failing levels.  The same superset argument makes the prune sound.
     """
     n = g.order
     if n < 2:
@@ -113,16 +134,21 @@ def mvd_exact(g: Graph) -> MvdResult:
         raise GuardError(f"exact search limited to order {MAX_EXACT_ORDER}, got {n}")
     if not is_connected(g):
         raise ValueError("mvd is defined for connected graphs")
-    start = n
-    if n >= 4 and triangle_free(g) and is_two_connected(g):
-        start = certified_bound(g, *_best_pair(g))
     rows = pair_rows(g)
     memo: dict[int, list[int]] = {}
-    for k in range(start, 0, -1):
-        masks = [1] + [0] * (k - 1)  # vertex 0 opens class 1
-        if _walk(g, n, rows, memo, masks, 1, 1):
-            return MvdResult(k, {v: c + 1 for c, mask in enumerate(masks) for v in _bits(mask)}, "exact")
-    raise AssertionError("unreachable: the single-class coloring always passes")
+    if n >= 4 and triangle_free(g) and is_two_connected(g):
+        found = [g.full_mask()]  # the single class always passes
+        for k in range(2, certified_bound(g, *_best_pair(g)) + 1):
+            masks = [1] + [0] * (k - 1)  # vertex 0 opens class 1
+            if not _walk(g, n, rows, memo, masks, 1, 1, 3):
+                break
+            found = masks
+    else:
+        for k in range(n, 0, -1):
+            found = [1] + [0] * (k - 1)  # vertex 0 opens class 1
+            if _walk(g, n, rows, memo, found, 1, 1, n):
+                break
+    return MvdResult(len(found), {v: c + 1 for c, mask in enumerate(found) for v in _bits(mask)}, "exact")
 
 
 def certified_bound(g: Graph, a: int, b: int, paths: Sequence[Sequence[int]]) -> int:

@@ -53,6 +53,14 @@ def _require_total(g: Graph, coloring: Mapping[int, int]) -> None:
             raise ValueError(f"colors must be positive, got {c}")
 
 
+def _require_verifiable(g: Graph, coloring: Mapping[int, int]) -> None:
+    if g.order < 2:
+        raise ValueError("verification needs at least 2 vertices")
+    if not is_connected(g):
+        raise ValueError("verification needs a connected graph")
+    _require_total(g, coloring)
+
+
 def pair_rows(g: Graph) -> list[tuple[int, int]]:
     """Every nonadjacent pair once, as rows in label order: for each vertex x,
     the mask of its nonadjacent partners that follow it by label; empty rows
@@ -138,11 +146,7 @@ def is_mvd_coloring(g: Graph, coloring: Mapping[int, int]) -> MvdVerdict:
     The witness, when present, is the least failing pair in label order, and
     each certificate color is the least separating one.
     """
-    if g.order < 2:
-        raise ValueError("verification needs at least 2 vertices")
-    if not is_connected(g):
-        raise ValueError("verification needs a connected graph")
-    _require_total(g, coloring)
+    _require_verifiable(g, coloring)
     left = pair_rows(g)
     color_of: dict[int, dict[int, int]] = {x: {} for x, _ in left}  # least cutting color by partner
     for color, class_mask in _classes(coloring[v] for v in range(g.order)):
@@ -187,6 +191,17 @@ def partition_passes(
         else:
             return False
     return True
+
+
+def failing_pair(g: Graph, coloring: Mapping[int, int]) -> Optional[tuple[int, int]]:
+    """None when the coloring passes, else ``is_mvd_coloring``'s witness, with
+    its errors.  The pass test builds no certificate; only a failure runs the
+    full verifier, to name the least failing pair."""
+    _require_verifiable(g, coloring)
+    masks = [mask for _, mask in _classes(coloring[v] for v in range(g.order))]
+    if partition_passes(g, masks, pair_rows(g), {}):
+        return None
+    return is_mvd_coloring(g, coloring).witness
 
 
 def color_count(coloring: Mapping[int, int]) -> int:

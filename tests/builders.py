@@ -86,6 +86,15 @@ def format_edge_list(g: Graph) -> str:
     return "\n".join(out) + "\n"
 
 
+def census_graphs(max_order: int) -> dict[int, list[Graph]]:
+    """The census of minimal blocks of orders 3..max_order, without their labellings."""
+    return {n: [g for g, _ in found] for n, found in generate_minimal_blocks_up_to(max_order).items()}
+
+
 def generate_minimal_blocks(n: int) -> list[Graph]:
     """All minimally 2-connected graphs of order n, up to isomorphism."""
-    return generate_minimal_blocks_up_to(n)[n]
+    return census_graphs(n)[n]
+
+
+def star_graph(leaves: int) -> Graph:
+    return Graph.from_edges(default_labels(leaves + 1), [(0, i) for i in range(1, leaves + 1)])

@@ -12,9 +12,9 @@ from mvdcolor.analysis import (
     nontrivial_core,
 )
 from mvdcolor.catalog import theta_graph
-from mvdcolor.graph import Graph, complete_graph, cycle_graph, path_graph, star_graph
+from mvdcolor.graph import Graph, complete_graph, cycle_graph, path_graph
 from mvdcolor.solve import mvd_exact, mvd_via_blocks
-from builders import attach_blocks, random_cactus, random_tree, with_pendants
+from builders import attach_blocks, random_cactus, random_tree, star_graph, with_pendants
 from oracles import triangle_blocks_value
 
 

@@ -5,9 +5,9 @@ import random
 import pytest
 
 from mvdcolor.blocks import decompose
-from mvdcolor.catalog import generate_minimal_blocks_up_to, is_minimally_two_connected, theta_graph
-from mvdcolor.graph import Graph, cycle_graph, load_graph, path_graph, star_graph
-from builders import random_connected_graph
+from mvdcolor.catalog import is_minimally_two_connected, theta_graph
+from mvdcolor.graph import Graph, cycle_graph, load_graph, path_graph
+from builders import census_graphs, random_connected_graph, star_graph
 from oracles import naive_cut_vertices, oracle_is_two_connected
 
 
@@ -137,7 +137,7 @@ def test_cut_vertices_blocks_and_minimality_match_networkx():
     nx = pytest.importorskip("networkx")
     rng = random.Random(2024)
     graphs = [random_connected_graph(rng, rng.randint(2, 12)) for _ in range(150)]
-    census = [g for gs in generate_minimal_blocks_up_to(8).values() for g in gs]
+    census = [g for gs in census_graphs(8).values() for g in gs]
     for _ in range(100):
         spec = [rng.randint(0, 3) for _ in range(rng.randint(1, 5))]
         if sum(spec) and spec.count(0) <= 1 and 2 + sum(spec) <= 12:

@@ -22,7 +22,7 @@ from mvdcolor.catalog import (
 from mvdcolor.graph import Graph, complete_graph, cycle_graph, default_labels, induced_subgraph, triangle_free
 from mvdcolor.iso import canonical_form, canonical_labelling, find_isomorphism
 from mvdcolor.solve import mvd_closed_form, mvd_via_blocks
-from builders import generate_minimal_blocks
+from builders import census_graphs, generate_minimal_blocks
 from oracles import every_pair_minimal_blocks_up_to, graphs_of_order, oracle_is_minimally_two_connected
 
 
@@ -63,7 +63,7 @@ def test_triangle_free():
 
 
 def test_census_members_small_orders():
-    levels = generate_minimal_blocks_up_to(6)
+    levels = census_graphs(6)
     assert keyset(levels[4]) == keyset([cycle_graph(4)])
     assert keyset(levels[5]) == keyset([cycle_graph(5), theta_graph([1, 1, 1])])
     assert keyset(levels[6]) == keyset(
@@ -73,7 +73,7 @@ def test_census_members_small_orders():
 
 def test_generated_blocks_are_triangle_free_from_order_4():
     # so the pair bound of ``solve.certified_bound`` applies to every census block
-    levels = generate_minimal_blocks_up_to(10)
+    levels = census_graphs(10)
     blocks = [g for n in range(4, 11) for g in levels[n]]
     assert len(blocks) == 120
     assert all(triangle_free(g) and is_two_connected(g) for g in blocks)
@@ -102,7 +102,7 @@ def test_generation_matches_labeled_brute_force_at_7():
 
 def test_census_counts_are_stable():
     # derived artifacts: counts for orders 7..9 are pinned as regression values
-    levels = generate_minimal_blocks_up_to(9)
+    levels = census_graphs(9)
     assert {n: len(gs) for n, gs in levels.items()} == {
         3: 1, 4: 1, 5: 2, 6: 3, 7: 6, 8: 12, 9: 28,
     }
@@ -112,7 +112,7 @@ def assert_same_census(max_order):
     def listing(levels):
         return {n: [(g.labels, g.neighbors) for g in gs] for n, gs in levels.items()}
 
-    assert listing(generate_minimal_blocks_up_to(max_order)) == listing(every_pair_minimal_blocks_up_to(max_order))
+    assert listing(census_graphs(max_order)) == listing(every_pair_minimal_blocks_up_to(max_order))
 
 
 def test_orbit_pruning_keeps_the_every_pair_census_to_9():
@@ -136,7 +136,7 @@ def test_cycles_get_one_ear_per_distance():
 
 
 def test_ear_ends_are_one_pair_per_orbit_of_the_whole_group():
-    for n, blocks in generate_minimal_blocks_up_to(7).items():
+    for n, blocks in census_graphs(7).items():
         for g in blocks:
             edges = {frozenset(e) for e in g.edges()}
             group = [p for p in itertools.permutations(range(n)) if {frozenset(p[v] for v in e) for e in edges} == edges]
@@ -164,8 +164,23 @@ def test_order_8_generation_work_is_pruned(monkeypatch):
     assert calls["canonical"] <= 40 and calls["minimality"] <= 60, calls
 
 
+def test_generation_returns_each_blocks_own_labelling():
+    for n, found in generate_minimal_blocks_up_to(8).items():
+        for g, labelling in found:
+            assert labelling == canonical_labelling(g)
+
+
+def test_order_8_build_labels_each_block_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(catalog_module, "canonical_labelling", lambda g: calls.append(g.order) or canonical_labelling(g))
+    cat = build_catalog(8)
+    assert len(calls) <= 40, len(calls)
+    for entry in cat.entries:  # indexed under the generator's labelling, so lookup finds it
+        assert cat.lookup(entry.graph)[0] is entry
+
+
 def test_all_thetas_appear_in_generation():
-    levels = generate_minimal_blocks_up_to(8)
+    levels = census_graphs(8)
     generated = {n: keyset(gs) for n, gs in levels.items()}
     for total in range(1, 7):  # internal vertices; order = total + 2
         for k in range(2, total + 1):
@@ -259,6 +274,24 @@ def test_load_rejects_duplicate_class(tmp_path):
         load_catalog(str(tmp_path))
 
 
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("rainbow", "a:1, b:2, c:3, d:4\n0, 1, 0, 1\n1, 0, 1, 0\n0, 1, 0, 1\n1, 0, 1, 0\n",
+         "rainbow.txt: stored coloring fails verification (no monochromatic cut for 'a','c')"),
+        ("single", "a:1\n0\n", "single.txt: entry 'single': verification needs at least 2 vertices"),
+        ("apart", "a:1, b:2\n0, 0\n0, 0\n", "apart.txt: entry 'apart': verification needs a connected graph"),
+    ],
+)
+def test_load_names_the_entry_file_and_the_fault(tmp_path, name, text, message):
+    # a file cannot leave a vertex uncoloured (see test_load_rejects_partially_colored_file),
+    # so test_add_names_the_entry_whose_coloring_misses_vertices pins that text through ``add``
+    (tmp_path / f"{name}.txt").write_text(text)
+    with pytest.raises(CatalogError) as caught:
+        load_catalog(str(tmp_path))
+    assert str(caught.value) == message
+
+
 def test_add_rejects_a_failing_coloring():
     c4 = cycle_graph(4)
     cat = Catalog()
@@ -269,8 +302,9 @@ def test_add_rejects_a_failing_coloring():
 
 def test_add_names_the_entry_whose_coloring_misses_vertices():
     cat = Catalog()
-    with pytest.raises(CatalogError, match="entry 'c6': coloring misses vertices: b, c, d, e, f"):
+    with pytest.raises(CatalogError) as caught:
         cat.add(CatalogEntry("c6", cycle_graph(6), {0: 1}))
+    assert str(caught.value) == "entry 'c6': coloring misses vertices: b, c, d, e, f"
     assert len(cat) == 0
 
 

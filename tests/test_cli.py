@@ -64,7 +64,8 @@ def test_solve_exact_cycle(c9_file):
 
 
 def test_solve_tree(tmp_path):
-    from mvdcolor.graph import format_matrix, star_graph
+    from builders import star_graph
+    from mvdcolor.graph import format_matrix
 
     path = tmp_path / "star.txt"
     path.write_text(format_matrix(star_graph(5)))
@@ -424,7 +425,8 @@ def test_exact_solve_loads_no_catalog(data_dir, c9_file, capsys, monkeypatch):
 
 @pytest.fixture()
 def family_files(tmp_path) -> dict:
-    from mvdcolor.graph import complete_graph, cycle_graph, format_matrix, path_graph, star_graph
+    from builders import star_graph
+    from mvdcolor.graph import complete_graph, cycle_graph, format_matrix, path_graph
 
     files = {}
     for name, g in (("star", star_graph(5)), ("p6", path_graph(6)), ("c9", cycle_graph(9)), ("k5", complete_graph(5))):

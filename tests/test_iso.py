@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from mvdcolor.catalog import generate_minimal_blocks_up_to, theta_graph
+from mvdcolor.catalog import theta_graph
 from mvdcolor.graph import (
     Graph,
     GuardError,
@@ -16,7 +16,6 @@ from mvdcolor.graph import (
     induced_subgraph,
     load_graph,
     path_graph,
-    star_graph,
 )
 from mvdcolor.iso import (
     CANONICAL_MAX_ORDER,
@@ -27,7 +26,7 @@ from mvdcolor.iso import (
     transfer_coloring,
 )
 from mvdcolor.verify import is_mvd_coloring
-from builders import random_connected_graph, random_tree
+from builders import census_graphs, random_connected_graph, random_tree, star_graph
 from oracles import brute_force_isomorphism, reference_canonical_labelling
 
 
@@ -144,7 +143,7 @@ def assert_automorphisms(g: Graph) -> None:
 
 
 def test_returned_automorphisms_map_edges_onto_edges():
-    for blocks in generate_minimal_blocks_up_to(9).values():
+    for blocks in census_graphs(9).values():
         for g in blocks:
             assert_automorphisms(g)
     rng = random.Random(91)
@@ -235,7 +234,7 @@ def test_search_agrees_with_networkx():
         n = rng.randint(2, 12)
         g = random_connected_graph(rng, n)
         pairs.append((g, shuffled_copy(g, rng) if rng.random() < 0.5 else random_connected_graph(rng, n)))
-    census = generate_minimal_blocks_up_to(10)
+    census = census_graphs(10)
     for blocks in census.values():
         for base in blocks:
             free = [(u, v) for u, v in itertools.combinations(range(base.order), 2) if not base.has_edge(u, v)]
@@ -284,7 +283,7 @@ def test_search_matches_reference_search():
     """The order, the relabelled graph (so the key) and the automorphisms all equal those
     of the search that sorts every touched cell whole and copies the partition per node."""
     rng = random.Random(2014)
-    graphs = [g for blocks in generate_minimal_blocks_up_to(10).values() for g in blocks]
+    graphs = [g for blocks in census_graphs(10).values() for g in blocks]
     graphs += [path_graph(n) for n in (2, 3, 50, 300)] + [cycle_graph(n) for n in (3, 50, 300)]
     graphs += [random_tree(rng, n) for n in (50, 50, 300, 300)]
     graphs += [theta_graph([1] * k) for k in (2, 5, 8)] + [star_graph(k) for k in (2, 5, 9)]

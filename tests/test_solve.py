@@ -5,9 +5,9 @@ import time
 
 import pytest
 
+import mvdcolor.solve as solve_module
 from mvdcolor.blocks import decompose, is_two_connected
 from mvdcolor.catalog import (
-    generate_minimal_blocks_up_to,
     is_minimally_two_connected,
     load_catalog,
     theta_graph,
@@ -21,7 +21,6 @@ from mvdcolor.graph import (
     load_graph,
     disjoint_paths,
     path_graph,
-    star_graph,
     triangle_free,
 )
 from mvdcolor.solve import (
@@ -37,7 +36,7 @@ from mvdcolor.solve import (
     stitch_colorings,
 )
 from mvdcolor.verify import _classes, color_count, is_mvd_coloring, pair_rows, partition_passes
-from builders import attach_blocks, random_cactus, random_connected_graph, random_tree, theta_specs
+from builders import attach_blocks, census_graphs, random_cactus, random_connected_graph, random_tree, star_graph, theta_specs
 from oracles import all_set_partitions, oracle_is_mvd, partitions_into_k_classes, restrict
 
 
@@ -103,14 +102,21 @@ def test_exact_matches_independent_oracle():
 
 def reference_exact(g: Graph) -> tuple[int, dict[int, int]]:
     """The descending search over the reference enumerator: the first
-    partition, from the same start in the same order, that the public
-    verifier passes."""
+    partition, from the same start in the same order, that passes.
+
+    No pruning and no pair bound: it starts at n, or at n // 2 on a minimal
+    block.  Partitions are checked with the exact search's pass test, which
+    ``test_fast_assignment_check_matches_public_verifier`` pins against the
+    public verifier, and the one returned is checked with that verifier.
+    """
     n = g.order
     start = n // 2 if n >= 4 and is_minimally_two_connected(g) else n
+    rows, memo = pair_rows(g), {}
     for k in range(start, 0, -1):
         for colors in partitions_into_k_classes(n, k):
-            coloring = {v: colors[v] for v in range(n)}
-            if is_mvd_coloring(g, coloring).ok:
+            if partition_passes(g, [mask for _, mask in _classes(colors)], rows, memo):
+                coloring = {v: colors[v] for v in range(n)}
+                assert is_mvd_coloring(g, coloring).ok
                 return k, coloring
     raise AssertionError("the single-class coloring always passes")
 
@@ -125,7 +131,7 @@ def wheel_graph(n: int) -> Graph:
 def test_exact_walk_matches_reference_search():
     rng = random.Random(97)
     graphs = [random_connected_graph(rng, rng.randint(2, 8)) for _ in range(40)]
-    for blocks in generate_minimal_blocks_up_to(8).values():
+    for blocks in census_graphs(9).values():
         for b in blocks:
             free = [(u, v) for u in range(b.order) for v in range(u + 1, b.order) if not b.has_edge(u, v)]
             graphs.append(b)
@@ -139,10 +145,56 @@ def test_exact_walk_matches_reference_search():
         assert (res.value, res.coloring) == reference_exact(g), g.edges()
 
 
+def _prune_cuts(g: Graph, monkeypatch) -> list[tuple[int, tuple[int, ...]]]:
+    """(k, colours of the coloured vertices) for each branch that the C | U
+    check of ``mvd_exact``'s walks cuts on g, read by wrapping ``_walk`` and
+    the pass test: a failed test at a node short of a full assignment."""
+    cuts: list[tuple[int, tuple[int, ...]]] = []
+    nodes: list[tuple[list[int], int]] = []
+    real_walk, real_passes = solve_module._walk, solve_module.partition_passes
+
+    def walk(g, n, rows, memo, masks, v, used, check_from):
+        nodes.append((list(masks), v))
+        try:
+            return real_walk(g, n, rows, memo, masks, v, used, check_from)
+        finally:
+            nodes.pop()
+
+    def passes(g, class_masks, rows, memo):
+        ok = real_passes(g, class_masks, rows, memo)
+        masks, v = nodes[-1]
+        if not ok and v < g.order:
+            cuts.append((len(masks), tuple(c + 1 for u in range(v) for c, m in enumerate(masks) if m >> u & 1)))
+        return ok
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solve_module, "_walk", walk)
+        patch.setattr(solve_module, "partition_passes", passes)
+        mvd_exact(g)
+    return cuts
+
+
+def test_pruned_branches_hold_no_passing_coloring(monkeypatch):
+    # every completion of a cut branch into k classes fails the subset oracle
+    graphs = [g for blocks in census_graphs(8).values() for g in blocks] + _non_minimal_triangle_free_blocks()
+    partitions: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    cut_total = completions = 0
+    for g in graphs:
+        for k, prefix in _prune_cuts(g, monkeypatch):
+            cut_total += 1
+            if (g.order, k) not in partitions:
+                partitions[g.order, k] = list(partitions_into_k_classes(g.order, k))
+            for colors in partitions[g.order, k]:
+                if colors[: len(prefix)] == prefix:
+                    completions += 1
+                    assert not oracle_is_mvd(g, dict(enumerate(colors))), (g.edges(), k, prefix, colors)
+    assert (cut_total, completions) == (569, 9169)
+
+
 def _non_minimal_triangle_free_blocks() -> list[Graph]:
     """The cube Q3, K3,3, C6 with the chord (0,3), and the theta P(2,2,0),
-    whose hubs are adjacent: the exact search starts them at the pair bound,
-    the reference search at n."""
+    whose hubs are adjacent: the exact search ascends them to the pair bound
+    with pruning, the reference search descends from n."""
     cube = Graph.from_edges(default_labels(8), [(u, u ^ bit) for u in range(8) for bit in (1, 2, 4) if u < u ^ bit])
     k33 = Graph.from_edges(default_labels(6), [(u, v) for u in range(3) for v in range(3, 6)])
     c6 = cycle_graph(6)
@@ -168,7 +220,7 @@ def _pin_pair_bound_on_census(n: int) -> int:
     """Every nonadjacent pair's bound is >= the value on the order-n census,
     the best pair gives the least of them; returns how many blocks it is tight on."""
     tight = 0
-    for g in generate_minimal_blocks_up_to(n)[n]:
+    for g in census_graphs(n)[n]:
         value = _half_order_value(g)
         bounds = [
             certified_bound(g, a, b, disjoint_paths(g, a, b))
