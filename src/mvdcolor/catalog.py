@@ -28,7 +28,7 @@ from .blocks import is_minimally_two_connected
 from .graph import Graph, cycle_graph, default_labels, format_matrix, parse_matrix
 from .iso import Labelling, canonical_labelling
 from .solve import mvd_closed_form, mvd_exact
-from .verify import color_count, failing_pair
+from .verify import _failing_pair, _require_verifiable, color_count
 
 GENERATION_MIN_ORDER = 3
 GENERATION_MAX_ORDER = 10
@@ -157,15 +157,16 @@ class Catalog:
         """CatalogError unless the entry's id is free to save and its coloring passes."""
         if f"{entry.id}.txt" == CENSUS_FILE:
             raise CatalogError(f"entry id {entry.id!r} would be saved over the census file")
+        g, coloring = entry.graph, entry.coloring
         try:
-            witness = failing_pair(entry.graph, entry.coloring)
+            _require_verifiable(g, coloring)
         except ValueError as exc:
             raise CatalogError(f"entry {entry.id!r}: {exc}") from exc
+        witness = _failing_pair(g, [coloring[v] for v in range(g.order)])
         if witness is not None:
             x, y = witness
-            labels = entry.graph.labels
             raise CatalogError(
-                f"stored coloring fails verification (no monochromatic cut for {labels[x]!r},{labels[y]!r})"
+                f"stored coloring fails verification (no monochromatic cut for {g.labels[x]!r},{g.labels[y]!r})"
             )
 
     def _index(self, entry: CatalogEntry, found: Labelling) -> None:

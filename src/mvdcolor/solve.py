@@ -26,7 +26,7 @@ from .blocks import Block, BlockDecomposition, decompose, is_two_connected
 from .graph import Graph, GuardError, _bits, cycle_order, disjoint_paths, is_complete, is_connected
 from .graph import theta_threads, triangle_free
 from .iso import transfer_coloring
-from .verify import _classes, _require_total, color_count, pair_rows, partition_passes
+from .verify import _require_total, color_count, pair_rows, partition_passes
 
 if TYPE_CHECKING:
     from .catalog import Catalog
@@ -331,9 +331,9 @@ def stitch_colorings(dec: BlockDecomposition, per_block: Sequence[Mapping[int, i
         if block.trivial:
             continue
         bg = block.graph
-        colors = [global_coloring[v] for v in block.vertices]
-        if not verify.partition_passes(bg, [mask for _, mask in _classes(colors)], pair_rows(bg), {}):
-            x, y = verify.is_mvd_coloring(bg, dict(enumerate(colors))).witness  # type: ignore[misc]
+        witness = verify._failing_pair(bg, [global_coloring[v] for v in block.vertices])
+        if witness is not None:
+            x, y = witness
             raise ValueError(
                 "block coloring fails verification on block "
                 f"{{{', '.join(sorted(bg.labels))}}}: "

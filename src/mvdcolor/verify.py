@@ -193,15 +193,14 @@ def partition_passes(
     return True
 
 
-def failing_pair(g: Graph, coloring: Mapping[int, int]) -> Optional[tuple[int, int]]:
-    """None when the coloring passes, else ``is_mvd_coloring``'s witness, with
-    its errors.  The pass test builds no certificate; only a failure runs the
-    full verifier, to name the least failing pair."""
-    _require_verifiable(g, coloring)
-    masks = [mask for _, mask in _classes(coloring[v] for v in range(g.order))]
-    if partition_passes(g, masks, pair_rows(g), {}):
+def _failing_pair(g: Graph, colors: Sequence[int]) -> Optional[tuple[int, int]]:
+    """None when the coloring with ``colors`` in vertex order passes, else
+    ``is_mvd_coloring``'s witness; the caller has checked the inputs.  The
+    pass test builds no certificate; only a failure runs the full verifier,
+    to name the least failing pair."""
+    if partition_passes(g, [mask for _, mask in _classes(colors)], pair_rows(g), {}):
         return None
-    return is_mvd_coloring(g, coloring).witness
+    return is_mvd_coloring(g, dict(enumerate(colors))).witness
 
 
 def color_count(coloring: Mapping[int, int]) -> int:

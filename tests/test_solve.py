@@ -102,21 +102,18 @@ def test_exact_matches_independent_oracle():
 
 def reference_exact(g: Graph) -> tuple[int, dict[int, int]]:
     """The descending search over the reference enumerator: the first
-    partition, from the same start in the same order, that passes.
+    partition, from the same start in the same order, that the public
+    verifier passes.
 
     No pruning and no pair bound: it starts at n, or at n // 2 on a minimal
-    block.  Partitions are checked with the exact search's pass test, which
-    ``test_fast_assignment_check_matches_public_verifier`` pins against the
-    public verifier, and the one returned is checked with that verifier.
+    block.
     """
     n = g.order
     start = n // 2 if n >= 4 and is_minimally_two_connected(g) else n
-    rows, memo = pair_rows(g), {}
     for k in range(start, 0, -1):
         for colors in partitions_into_k_classes(n, k):
-            if partition_passes(g, [mask for _, mask in _classes(colors)], rows, memo):
-                coloring = {v: colors[v] for v in range(n)}
-                assert is_mvd_coloring(g, coloring).ok
+            coloring = {v: colors[v] for v in range(n)}
+            if is_mvd_coloring(g, coloring).ok:
                 return k, coloring
     raise AssertionError("the single-class coloring always passes")
 
@@ -128,19 +125,35 @@ def wheel_graph(n: int) -> Graph:
     return Graph.from_edges(default_labels(n), edges)
 
 
-def test_exact_walk_matches_reference_search():
-    rng = random.Random(97)
-    graphs = [random_connected_graph(rng, rng.randint(2, 8)) for _ in range(40)]
-    for blocks in census_graphs(9).values():
-        for b in blocks:
+def _census_with_chords(rng: random.Random, orders: range) -> list[Graph]:
+    """The census blocks of the given orders, each followed by a copy with
+    one random chord added (none for a complete block)."""
+    census = census_graphs(orders[-1])
+    graphs = []
+    for n in orders:
+        for b in census[n]:
             free = [(u, v) for u in range(b.order) for v in range(u + 1, b.order) if not b.has_edge(u, v)]
             graphs.append(b)
             if free:
                 graphs.append(Graph.from_edges(b.labels, b.edges() + [rng.choice(free)]))
+    return graphs
+
+
+def test_exact_walk_matches_reference_search():
+    rng = random.Random(97)
+    graphs = [random_connected_graph(rng, rng.randint(2, 8)) for _ in range(40)]
+    graphs += _census_with_chords(rng, range(3, 9))
     graphs += [wheel_graph(n) for n in range(4, 9)]
     graphs += [complete_graph(n) for n in range(2, 8)]
     graphs += _non_minimal_triangle_free_blocks()
     for g in graphs:
+        res = mvd_exact(g)
+        assert (res.value, res.coloring) == reference_exact(g), g.edges()
+
+
+@pytest.mark.slow
+def test_exact_walk_matches_reference_search_at_order_9():
+    for g in _census_with_chords(random.Random(99), range(9, 10)):
         res = mvd_exact(g)
         assert (res.value, res.coloring) == reference_exact(g), g.edges()
 
