@@ -211,10 +211,16 @@ def build_catalog(max_order: int) -> Catalog:
 
 def save_catalog(cat: Catalog, directory: str) -> list[str]:
     """One matrix-with-colors file per entry, named after the entry id, then
-    the census summary; returns the paths written."""
+    the census summary; returns the paths written.  CatalogError, before any
+    write, when the directory holds a ``.txt`` file the save would not
+    overwrite, since ``load_catalog`` would read it as an entry."""
     os.makedirs(directory, exist_ok=True)
     files = [(f"{e.id}.txt", format_matrix(e.graph, e.coloring)) for e in cat.entries]
     files.append((CENSUS_FILE, census_text(cat)))
+    names = {name for name, _ in files}
+    stale = sorted(f for f in os.listdir(directory) if f.endswith(".txt") and f not in names)
+    if stale:
+        raise CatalogError(f"{directory!r} holds {stale[0]!r}, which this catalog would not overwrite")
     written = [os.path.join(directory, name) for name, _ in files]
     for path, (_, text) in zip(written, files):
         with open(path, "w", encoding="utf-8") as fh:

@@ -3,11 +3,12 @@
 The exact solver walks the colourings of a class count k as
 restricted-growth strings: it colours one vertex at a time, keeps a bitmask
 per colour class, and checks each full assignment against those masks.  On
-a 2-connected triangle-free graph it ascends from k = 2 to the least pair
-bound (see ``certified_bound``) and cuts every branch whose classes, grown
-by the uncoloured vertices, already fail; the last passing level is the
-value.  Any other graph keeps the unpruned descent from the order, where a
-first success at k proves the value is k (see ``mvd_exact``).  Closed forms
+a 2-connected triangle-free graph it ascends from k = 2 to floor(n/2), the
+pair bound that every nonadjacent pair certifies (see ``certified_bound``),
+and cuts every branch whose classes, grown by the uncoloured vertices,
+already fail; the last passing level is the value.  Any other graph keeps
+the unpruned descent from the order, where a first success at k proves the
+value is k (see ``mvd_exact``).  Closed forms
 cover complete graphs, cycles, and theta graphs whose constructive coloring
 reaches the pair bound of their hubs; thetas that miss it go to exact search.
 Block-composed solving decomposes the graph, solves each block via catalog
@@ -23,7 +24,7 @@ from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from . import verify
 from .blocks import Block, BlockDecomposition, decompose, is_two_connected
-from .graph import Graph, GuardError, _bits, cycle_order, disjoint_paths, is_complete, is_connected
+from .graph import Graph, GuardError, _bits, cycle_order, is_complete, is_connected
 from .graph import theta_threads, triangle_free
 from .iso import transfer_coloring
 from .verify import _require_total, color_count, pair_rows, partition_passes
@@ -105,18 +106,18 @@ def mvd_exact(g: Graph) -> MvdResult:
     full assignment.  Guarded to order 11 (Bell-number search).
 
     On a 2-connected triangle-free input of order >= 4 the search ascends:
-    k = 2, 3, ... up to the least pair bound of ``certified_bound`` over its
-    nonadjacent pairs (see ``_best_pair``), stopping at the first level that
-    fails, and the last passing level is the value.  Those walks prune from
-    the fourth vertex on (see ``_walk``).  The bound is at most floor(n/2),
-    since a 2-connected graph joins every pair by two disjoint paths, and it
-    covers every minimal block of order >= 4, all of which are
-    triangle-free.  Every other input keeps the unpruned descent from n,
-    where the one partition is all singletons (so a complete graph gets n
-    distinct colours), and a first pass at k proves the value is k.  Pruning
-    it would be as exact; it waits because ``perfbench/run.py`` keeps every
-    op's output, so faster ``solve`` ops raise that workload's peak memory
-    (ROADMAP item 1).  Both searches return the first passing leaf of the
+    k = 2, 3, ... up to floor(n/2), stopping at the first level that fails,
+    and the last passing level is the value.  Those walks prune from the
+    fourth vertex on (see ``_walk``).  The ceiling is valid: such a graph is
+    not complete, and by Menger it joins any nonadjacent pair by two
+    internally disjoint paths, whose pair bound (``certified_bound``) is
+    1 + (n - 2) // 2 = floor(n/2).  It covers every minimal block of order
+    >= 4, all of which are triangle-free.  Every other input keeps the
+    unpruned descent from n, where the one partition is all singletons (so a
+    complete graph gets n distinct colours), and a first pass at k proves the
+    value is k.  Pruning it would be as exact; it waits because
+    ``perfbench/run.py`` keeps every op's output, so faster ``solve`` ops
+    raise that workload's peak memory (ROADMAP item 1).  Both searches return the first passing leaf of the
     same walk at k = value, so they give the same coloring.
 
     Coarsening monotonicity: merging two classes C and D of a passing
@@ -138,7 +139,7 @@ def mvd_exact(g: Graph) -> MvdResult:
     memo: dict[int, list[int]] = {}
     if n >= 4 and triangle_free(g) and is_two_connected(g):
         found = [g.full_mask()]  # the single class always passes
-        for k in range(2, certified_bound(g, *_best_pair(g)) + 1):
+        for k in range(2, n // 2 + 1):
             masks = [1] + [0] * (k - 1)  # vertex 0 opens class 1
             if not _walk(g, n, rows, memo, masks, 1, 1, 3):
                 break
@@ -187,29 +188,6 @@ def certified_bound(g: Graph, a: int, b: int, paths: Sequence[Sequence[int]]) ->
                 raise ValueError(f"vertex {v} is not a private inner vertex of one walk")
             seen |= 1 << v
     return 1 + (n - len(paths)) // 2
-
-
-def _best_pair(g: Graph) -> tuple[int, int, list[list[int]]]:
-    """A nonadjacent pair of g joined by the most internally disjoint paths,
-    and those paths.
-
-    A pair's path count is at most its ends' lesser degree.  Pairs are tried
-    in descending order of it, so the search stops at the first pair whose
-    lesser degree does not exceed the best count found.
-    """
-    degree = [len(nbrs) for nbrs in g.neighbors]
-    pairs = sorted(
-        ((a, b) for a in range(g.order) for b in range(a + 1, g.order) if not g.has_edge(a, b)),
-        key=lambda pair: -min(degree[pair[0]], degree[pair[1]]),
-    )
-    best: tuple[int, int, list[list[int]]] = (-1, -1, [])
-    for a, b in pairs:
-        if min(degree[a], degree[b]) <= len(best[2]):
-            break
-        paths = disjoint_paths(g, a, b)
-        if len(paths) > len(best[2]):
-            best = (a, b, paths)
-    return best
 
 
 def _theta_coloring(threads: Sequence[Sequence[int]]) -> dict[int, int]:

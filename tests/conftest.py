@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import os
 import sys
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+# child processes (``python -m mvdcolor``, the scripts) import the package from the source tree
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH")])
+)
 
 DATA_DIR = Path(__file__).parent.parent / "data"
 

@@ -19,7 +19,15 @@ from mvdcolor.catalog import (
     save_catalog,
     theta_graph,
 )
-from mvdcolor.graph import Graph, complete_graph, cycle_graph, default_labels, induced_subgraph, triangle_free
+from mvdcolor.graph import (
+    Graph,
+    complete_graph,
+    cycle_graph,
+    default_labels,
+    format_matrix,
+    induced_subgraph,
+    triangle_free,
+)
 from mvdcolor.iso import canonical_form, canonical_labelling, find_isomorphism
 from mvdcolor.solve import mvd_closed_form, mvd_via_blocks
 from builders import census_graphs, generate_minimal_blocks
@@ -72,7 +80,7 @@ def test_census_members_small_orders():
 
 
 def test_generated_blocks_are_triangle_free_from_order_4():
-    # so the pair bound of ``solve.certified_bound`` applies to every census block
+    # so ``solve.mvd_exact`` ascends every census block it solves to floor(n/2), their pair bound
     levels = census_graphs(10)
     blocks = [g for n in range(4, 11) for g in levels[n]]
     assert len(blocks) == 120
@@ -266,10 +274,7 @@ def test_load_rejects_duplicate_class(tmp_path):
     cat = build_catalog(4)
     save_catalog(cat, str(tmp_path))
     c4 = cat.entries_of_order(4)[0]
-    clone = CatalogEntry("copycat", c4.graph, c4.coloring)
-    extra = Catalog()
-    extra.add(clone)
-    save_catalog(extra, str(tmp_path))
+    (tmp_path / "copycat.txt").write_text(format_matrix(c4.graph, c4.coloring))
     with pytest.raises(CatalogError, match="graph_4Vertex-1.txt: entry 'graph_4Vertex-1' is isomorphic"):
         load_catalog(str(tmp_path))
 
@@ -333,6 +338,22 @@ def test_entry_value_is_its_color_count():
     cat.add(entry)
     result = mvd_via_blocks(c5, cat)
     assert (result.value, result.block_methods) == (2, ("catalog:c5",))
+
+
+def test_save_refuses_a_directory_with_entries_it_would_not_overwrite(tmp_path):
+    save_catalog(build_catalog(6), str(tmp_path))
+    before = {p.name: p.read_text() for p in tmp_path.iterdir()}
+    with pytest.raises(CatalogError, match="holds 'graph_5Vertex-1.txt', which this catalog would not overwrite"):
+        save_catalog(build_catalog(4), str(tmp_path))
+    assert {p.name: p.read_text() for p in tmp_path.iterdir()} == before
+    assert len(load_catalog(str(tmp_path))) == 7
+
+
+def test_save_overwrites_a_catalog_of_the_same_entries(tmp_path):
+    cat = build_catalog(6)
+    first = save_catalog(cat, str(tmp_path))
+    assert save_catalog(cat, str(tmp_path)) == first
+    assert [e.id for e in load_catalog(str(tmp_path)).entries] == [e.id for e in cat.entries]
 
 
 def test_save_writes_the_census_that_load_skips(tmp_path):

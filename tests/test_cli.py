@@ -493,6 +493,18 @@ def test_main_calls_share_no_parser_state(data_dir, c9_file, capsys, monkeypatch
     assert calls == []
 
 
+def test_catalog_build_over_a_larger_build_exits_2(tmp_path, capsys):
+    from mvdcolor.catalog import load_catalog
+    from mvdcolor.cli import main
+
+    out = str(tmp_path / "cat")
+    assert main(["catalog", "build", "--max-order", "6", "--out", out]) == 0
+    capsys.readouterr()
+    assert main(["catalog", "build", "--max-order", "4", "--out", out]) == 2
+    assert "'graph_5Vertex-1.txt'" in capsys.readouterr().err
+    assert len(load_catalog(out)) == 7
+
+
 @pytest.fixture()
 def report_inputs(tmp_path, data_dir) -> dict:
     from mvdcolor.graph import cycle_graph, format_matrix, induced_subgraph

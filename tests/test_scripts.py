@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import importlib.util
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,11 +13,9 @@ ROOT = Path(__file__).parent.parent
 
 
 def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
-        capture_output=True, text=True, env=env, cwd=ROOT,
+        capture_output=True, text=True, cwd=ROOT,
     )
 
 

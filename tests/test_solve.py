@@ -19,13 +19,11 @@ from mvdcolor.graph import (
     cycle_graph,
     default_labels,
     load_graph,
-    disjoint_paths,
     path_graph,
     triangle_free,
 )
 from mvdcolor.solve import (
     MvdResult,
-    _best_pair,
     _theta_coloring,
     certified_bound,
     counting_formula,
@@ -139,6 +137,20 @@ def _census_with_chords(rng: random.Random, orders: range) -> list[Graph]:
     return graphs
 
 
+def _chorded_triangle_free_cycles(rng: random.Random, count: int) -> list[Graph]:
+    """``count`` cycles of order 6..8, each with one to three random chords,
+    kept when triangle-free: 2-connected, triangle-free and not minimal."""
+    graphs = []
+    while len(graphs) < count:
+        c = cycle_graph(rng.randint(6, 8))
+        chords = rng.sample([(u, v) for u in range(c.order) for v in range(u + 2, c.order) if not c.has_edge(u, v)],
+                            rng.randint(1, 3))
+        g = Graph.from_edges(c.labels, c.edges() + chords)
+        if triangle_free(g):
+            graphs.append(g)
+    return graphs
+
+
 def test_exact_walk_matches_reference_search():
     rng = random.Random(97)
     graphs = [random_connected_graph(rng, rng.randint(2, 8)) for _ in range(40)]
@@ -146,6 +158,9 @@ def test_exact_walk_matches_reference_search():
     graphs += [wheel_graph(n) for n in range(4, 9)]
     graphs += [complete_graph(n) for n in range(2, 8)]
     graphs += _non_minimal_triangle_free_blocks()
+    # thetas with adjacent hubs, whose values 2 and 3 fall one below floor(n/2)
+    graphs += [theta_graph([3, 2, 0]), theta_graph([3, 3, 0])]
+    graphs += _chorded_triangle_free_cycles(rng, 20)
     for g in graphs:
         res = mvd_exact(g)
         assert (res.value, res.coloring) == reference_exact(g), g.edges()
@@ -201,12 +216,12 @@ def test_pruned_branches_hold_no_passing_coloring(monkeypatch):
                 if colors[: len(prefix)] == prefix:
                     completions += 1
                     assert not oracle_is_mvd(g, dict(enumerate(colors))), (g.edges(), k, prefix, colors)
-    assert (cut_total, completions) == (569, 9169)
+    assert (cut_total, completions) == (861, 20428)
 
 
 def _non_minimal_triangle_free_blocks() -> list[Graph]:
     """The cube Q3, K3,3, C6 with the chord (0,3), and the theta P(2,2,0),
-    whose hubs are adjacent: the exact search ascends them to the pair bound
+    whose hubs are adjacent: the exact search ascends them to floor(n/2)
     with pruning, the reference search descends from n."""
     cube = Graph.from_edges(default_labels(8), [(u, u ^ bit) for u in range(8) for bit in (1, 2, 4) if u < u ^ bit])
     k33 = Graph.from_edges(default_labels(6), [(u, v) for u in range(3) for v in range(3, 6)])
@@ -230,18 +245,20 @@ def _half_order_value(g: Graph) -> int:
 
 
 def _pin_pair_bound_on_census(n: int) -> int:
-    """Every nonadjacent pair's bound is >= the value on the order-n census,
-    the best pair gives the least of them; returns how many blocks it is tight on."""
+    """Every nonadjacent pair's bound, from a maximum set of disjoint paths,
+    is >= the value on the order-n census; returns how many blocks the least
+    of them is tight on."""
+    nx = pytest.importorskip("networkx")
     tight = 0
     for g in census_graphs(n)[n]:
         value = _half_order_value(g)
+        h = nx.Graph(g.edges())
         bounds = [
-            certified_bound(g, a, b, disjoint_paths(g, a, b))
+            certified_bound(g, a, b, list(nx.node_disjoint_paths(h, a, b)))
             for a in range(n) for b in range(a + 1, n) if not g.has_edge(a, b)
         ]
-        best = certified_bound(g, *_best_pair(g))
-        assert best == min(bounds) >= value, g.edges()
-        tight += best == value
+        assert min(bounds) >= value, g.edges()
+        tight += min(bounds) == value
     return tight
 
 
@@ -254,33 +271,10 @@ def test_pair_bound_holds_on_the_census_at_order_10():
     assert _pin_pair_bound_on_census(10) == 17
 
 
-def test_disjoint_paths_match_local_connectivity():
-    nx = pytest.importorskip("networkx")
-    from networkx.algorithms.connectivity import local_node_connectivity
-
-    rng = random.Random(71)
-    # the augmenting path for the last graph's pair (0, 8) must undo a step through a used vertex
-    rerouted = [(0, 2), (0, 5), (1, 2), (1, 6), (2, 3), (2, 5), (3, 4), (3, 9), (4, 9), (5, 7), (6, 7), (6, 8), (8, 9)]
-    graphs = [random_connected_graph(rng, rng.randint(2, 10)) for _ in range(60)]
-    for g in graphs + [Graph.from_edges(default_labels(10), rerouted)]:
-        h = nx.Graph(g.edges())
-        h.add_nodes_from(range(g.order))
-        nonadjacent = []
-        for a in range(g.order):
-            for b in range(a + 1, g.order):
-                paths = disjoint_paths(g, a, b)
-                assert len(paths) == local_node_connectivity(h, a, b), (g.edges(), a, b)
-                inner = [v for p in paths for v in p[1:-1]]
-                assert len(inner) == len(set(inner)) and not {a, b} & set(inner)
-                for p in paths:
-                    assert p[0] == a and p[-1] == b
-                    assert all(g.has_edge(u, v) for u, v in zip(p, p[1:]))
-                if not g.has_edge(a, b):
-                    nonadjacent.append(len(paths))
-        assert len(_best_pair(g)[2]) == max(nonadjacent, default=0), g.edges()
+def test_certified_bound_checks_its_certificate():
     k23 = theta_graph([1, 1, 1])  # hubs 0 and 1, inner vertices 2, 3, 4
-    assert disjoint_paths(k23, 0, 1) == [[0, 2, 1], [0, 3, 1], [0, 4, 1]]
-    assert certified_bound(k23, 0, 1, disjoint_paths(k23, 0, 1)) == 2
+    assert certified_bound(k23, 0, 1, [[0, 2, 1], [0, 3, 1], [0, 4, 1]]) == 2
+    assert certified_bound(k23, 0, 1, [[0, 2, 1], [0, 3, 1]]) == 2
     with pytest.raises(ValueError, match="private inner vertex"):
         certified_bound(k23, 0, 1, [[0, 2, 1], [0, 3, 1], [0, 2, 1]])
     with pytest.raises(ValueError, match="not an edge"):
