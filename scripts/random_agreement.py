@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Stress the composition identity: blockwise value vs whole-graph exact search.
 
-Samples random connected graphs, solves each both ways, and reports any
-disagreement (there should be none).  Exits 1 when a sample disagrees, so a
-job that runs it fails.
+Samples random connected graphs and, every other sample, random cacti of
+cycles C3..C7 and bridges, whose cycle blocks the blockwise solver colors in
+closed form.  Solves each sample both ways and reports any disagreement
+(there should be none).  Exits 1 when a sample disagrees, so a job that
+runs it fails.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import argparse
 import random
 import time
 
+from mvdcolor.graph import Graph
 from mvdcolor.solve import mvd_exact, mvd_via_blocks
 from mvdcolor.verify import is_mvd_coloring
 
@@ -19,7 +22,15 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent.parent / "tests"))
-from builders import random_connected_graph  # noqa: E402
+from builders import random_cactus, random_connected_graph  # noqa: E402
+
+
+def random_small_cactus(rng: random.Random, max_order: int) -> Graph:
+    """A random cactus of one to three blocks, redrawn until its order is at most max_order."""
+    while True:
+        g = random_cactus(rng, rng.randint(1, 3), even_only=False)
+        if g.order <= max_order:
+            return g
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -33,15 +44,17 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.time()
     disagreements = 0
     for trial in range(args.samples):
-        n = rng.randint(2, args.max_order)
-        g = random_connected_graph(rng, n)
+        if trial % 2:
+            g = random_small_cactus(rng, args.max_order)
+        else:
+            g = random_connected_graph(rng, rng.randint(2, args.max_order))
         a = mvd_via_blocks(g)
         b = mvd_exact(g)
         ok_a = is_mvd_coloring(g, a.coloring).ok
         ok_b = is_mvd_coloring(g, b.coloring).ok
         if a.value != b.value or not ok_a or not ok_b:
             disagreements += 1
-            print(f"DISAGREE n={n} blockwise={a.value} exact={b.value} edges={g.edges()}")
+            print(f"DISAGREE n={g.order} blockwise={a.value} exact={b.value} edges={g.edges()}")
     print(
         f"{args.samples} samples, {disagreements} disagreements, "
         f"{time.time() - t0:.1f}s"

@@ -14,7 +14,7 @@ from typing import Optional
 
 from .blocks import BlockDecomposition, decompose, is_minimally_two_connected
 from .catalog import Catalog
-from .graph import Graph, cycle_order, induced_subgraph, is_connected, theta_threads, triangle_free
+from .graph import Graph, induced_subgraph, is_connected, theta_threads, triangle_free
 from .iso import CANONICAL_MAX_ORDER, canonical_form
 from .solve import mvd_via_blocks
 
@@ -83,19 +83,15 @@ def bound_blocks(g: Graph) -> BoundReport:
     return BoundReport("block-formula", True, f"r={dec.r}, t={dec.t}", value)
 
 
-# the n-3 and n-4 family cores by block shape (see _shape)
-_C4 = 4
-_CLASS_A = {5, 6, (1, 1, 1)}  # C5, C6, K2,3
-_CLASS_B = {7, 8, (1, 1, 3), (1, 1, 2), (1, 1, 1, 1)}  # C7, C8, P(3,1,1), P(2,1,1), P(1,1,1,1)
-
-
-def _shape(g: Graph) -> Optional[int | tuple[int, ...]]:
-    """A cycle's order, a theta's sorted thread inner-vertex counts, else None."""
-    walk = cycle_order(g)
-    if walk is not None:
-        return len(walk)
-    threads = theta_threads(g)
-    return None if threads is None else tuple(sorted(len(t) - 2 for t in threads))
+# n - mvd of the minimal blocks of deficit <= 4, keyed by their sorted thread
+# inner-vertex counts: C4; C5, C6, K2,3; C7, C8, P(3,1,1), P(2,1,1), P(1,1,1,1)
+_DEFICIT = {
+    (1, 1): 2,
+    (1, 2): 3, (1, 3): 3, (1, 1, 1): 3,
+    (1, 4): 4, (1, 5): 4, (1, 1, 3): 4, (1, 1, 2): 4, (1, 1, 1, 1): 4,
+}
+# the family of the graphs with a small n - mvd
+_FAMILY = {0: "tree", 2: "unicyclic-C4", 3: "class-A", 4: "class-B", 5: "class-C"}
 
 
 def nontrivial_core(g: Graph, dec: Optional[BlockDecomposition] = None) -> Optional[Graph]:
@@ -108,39 +104,17 @@ def nontrivial_core(g: Graph, dec: Optional[BlockDecomposition] = None) -> Optio
     return induced_subgraph(g, vertices)
 
 
-def _structural_family(dec: BlockDecomposition) -> Optional[str]:
-    shapes = [_shape(b.graph) for b in dec.blocks if not b.trivial]
-    if not shapes:
-        return "tree"
-    if len(shapes) == 1:
-        shape = shapes[0]
-        if shape == _C4:
-            return "unicyclic-C4"
-        if shape in _CLASS_A:
-            return "class-A"
-        if shape in _CLASS_B:
-            return "class-B"
-        return None
-    if len(shapes) == 2 and all(shape == _C4 for shape in shapes):
-        return "class-B"
-    return None
-
-
-_REGIME_OF_FAMILY = {
-    "tree": "n",
-    "unicyclic-C4": "n-2",
-    "class-A": "n-3",
-    "class-B": "n-4",
-}
-
-
 def classify(g: Graph, catalog: Optional[Catalog] = None) -> ClassificationResult:
     """Regime (n - mvd when small) and family of a gated graph.
 
-    Refuses ungated inputs.  The n-1 regime is impossible for gated graphs
-    and is asserted never to appear.  Families for the n-5 regime have no
-    text-recoverable member list, so that regime reports family class-C with
-    the computed core.
+    Refuses ungated inputs.  The family is read off the solver's n - mvd
+    (``_FAMILY``).  n - mvd is the sum of the blocks' own n - mvd, as block
+    orders and values compose alike, so when every nontrivial block's thread
+    key is in ``_DEFICIT`` their deficits are asserted to sum to it: a
+    cross-check of the solver, never the source of truth.  The n-1 regime is
+    impossible for gated graphs and is asserted never to appear.  Families
+    for the n-5 regime have no text-recoverable member list, so that regime
+    reports family class-C with the computed core.
     """
     if g.order < 2 or not is_connected(g):
         raise ValueError("classification needs a connected graph of order >= 2")
@@ -157,17 +131,11 @@ def classify(g: Graph, catalog: Optional[Catalog] = None) -> ClassificationResul
     if code == 1:
         raise AssertionError("gated graph with value n-1: contradicts the classification theorem")
     regime = "n" if code == 0 else (f"n-{code}" if code <= 5 else "other")
-    family = _structural_family(dec)
-    if family is not None:
-        expected = _REGIME_OF_FAMILY[family]
-        if regime != expected:
-            raise AssertionError(
-                f"structural family {family} implies regime {expected}, solver says {regime}"
-            )
-    elif regime == "n-5":
-        family = "class-C"
-    else:
-        family = "unclassified"
+    threads = [theta_threads(b.graph) for b in dec.blocks if not b.trivial]
+    deficits = [_DEFICIT.get(tuple(sorted(len(t) - 2 for t in ts))) if ts else None for ts in threads]
+    if None not in deficits and sum(deficits) != code:
+        raise AssertionError(f"block deficits {deficits} sum to n-{sum(deficits)}, solver says n-{code}")
+    family = _FAMILY.get(code, "unclassified")
     core = nontrivial_core(g, dec)
     core_key = canonical_form(core) if core is not None and core.order <= CANONICAL_MAX_ORDER else None
     return ClassificationResult(True, n, value, regime, family, core, core_key)

@@ -10,8 +10,9 @@ class.  Each minimal candidate is labelled once, and a stored block's
 automorphisms from that search leave one ear per orbit of vertex pairs to
 try; generation returns that labelling beside each block.
 ``build_catalog`` solves each census block in closed form where
-``solve.mvd_closed_form`` certifies one (cycles, and thetas whose coloring
-meets the pair bound of their hubs) and with ``mvd_exact`` otherwise.
+``solve.mvd_closed_form`` certifies one (thetas whose coloring meets the
+pair bound of their hubs, a cycle being the theta with two threads) and
+with ``mvd_exact`` otherwise.
 Every entry's coloring is certified before it is indexed, whether it comes
 through ``Catalog.add`` or from ``build_catalog``, so built and loaded
 entries are checked alike.

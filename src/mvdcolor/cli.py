@@ -2,8 +2,9 @@
 bound, and DOT export as reproducible batch subcommands.
 
 Exit codes: 0 success, 1 negative verdict (verification FAIL, not isomorphic),
-2 input error, 3 guard/limit error.  All reports are plain text with stable
-ordering; ``--json`` switches any subcommand to a machine-readable report.
+2 input error (bad input, or a path that cannot be read or written), 3
+guard/limit error.  All reports are plain text with stable ordering;
+``--json`` switches any subcommand to a machine-readable report.
 """
 
 from __future__ import annotations
@@ -316,7 +317,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except GuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (ValueError, FileNotFoundError) as exc:  # GraphFormatError, CatalogError, GateError too
+    except (ValueError, OSError) as exc:  # GraphFormatError, CatalogError, GateError, a bad path too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     report = {"command": ["mvdcolor"] + list(argv), **report, "exit_code": code}

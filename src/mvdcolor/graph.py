@@ -176,30 +176,22 @@ def triangle_free(g: Graph) -> bool:
     return not any(masks[u] & masks[v] for u, v in g.edges())
 
 
-def cycle_order(g: Graph) -> Optional[list[int]]:
-    """Vertices of g in cyclic order if g is a cycle of order >= 3, else None."""
-    n = g.order
-    if n < 3 or g.size != n or any(g.degree(v) != 2 for v in range(n)) or not is_connected(g):
-        return None
-    walk = [0, g.neighbors[0][0]]
-    while len(walk) < n:
-        a, b = g.neighbors[walk[-1]]
-        walk.append(a if a != walk[-2] else b)
-    return walk
-
-
 def theta_threads(g: Graph) -> Optional[list[list[int]]]:
-    """The threads of g as walks [a, ..., b] if g is a theta graph whose hubs
-    a < b are nonadjacent, else None.
+    """The threads of g as walks [a, ..., b] if g is a theta graph or a cycle
+    whose hubs a < b are nonadjacent, else None.
 
     A theta graph has exactly two vertices of degree >= 3, the hubs, and
-    every other vertex of degree 2.  Each hub neighbour starts a thread,
-    walked until it meets a hub.  None when a thread comes back to a, when a
-    thread has no inner vertex (the hubs are adjacent), or when the threads
-    miss a vertex.
+    every other vertex of degree 2.  A cycle of order >= 4 is the theta with
+    two threads: its hubs are vertex 0 and the vertex two steps along, and
+    its threads hold one and n - 3 inner vertices.  Each hub neighbour starts
+    a thread, walked until it meets a hub.  None when a thread comes back to
+    a, when a thread has no inner vertex (the hubs are adjacent, as in a
+    triangle), or when the threads miss a vertex.
     """
-    hubs = [v for v in range(g.order) if g.degree(v) >= 3]
-    if len(hubs) != 2 or any(g.degree(v) != 2 for v in range(g.order) if v not in hubs):
+    hubs = [v for v in range(g.order) if g.degree(v) != 2]
+    if not hubs and g.order:
+        hubs = [0, g.neighbors[g.neighbors[0][0]][1]]
+    elif len(hubs) != 2 or any(g.degree(v) < 3 for v in hubs):
         return None
     a, b = hubs
     threads = []

@@ -9,8 +9,9 @@ and cuts every branch whose classes, grown by the uncoloured vertices,
 already fail; the last passing level is the value.  Any other graph keeps
 the unpruned descent from the order, where a first success at k proves the
 value is k (see ``mvd_exact``).  Closed forms
-cover complete graphs, cycles, and theta graphs whose constructive coloring
-reaches the pair bound of their hubs; thetas that miss it go to exact search.
+cover complete graphs and theta graphs, a cycle being the theta with two
+threads, whose constructive coloring reaches the pair bound of their hubs;
+thetas that miss it go to exact search.
 Block-composed solving decomposes the graph, solves each block via catalog
 lookup, closed form, or exact search, stitches the per-block colorings
 across cut vertices in reverse decomposition order, and composes the value
@@ -24,8 +25,7 @@ from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from . import verify
 from .blocks import Block, BlockDecomposition, decompose, is_two_connected
-from .graph import Graph, GuardError, _bits, cycle_order, is_complete, is_connected
-from .graph import theta_threads, triangle_free
+from .graph import Graph, GuardError, _bits, is_complete, is_connected, theta_threads, triangle_free
 from .iso import transfer_coloring
 from .verify import _require_total, color_count, pair_rows, partition_passes
 
@@ -191,8 +191,8 @@ def certified_bound(g: Graph, a: int, b: int, paths: Sequence[Sequence[int]]) ->
 
 
 def _theta_coloring(threads: Sequence[Sequence[int]]) -> dict[int, int]:
-    """A passing coloring of the theta graph with these threads (walks from
-    hub a to hub b, each with an inner vertex).
+    """A passing coloring of the theta graph with these k >= 2 threads (walks
+    from hub a to hub b, each with an inner vertex); k = 2 is a cycle.
 
     Both hubs get color 1.  Each thread's inner vertices t_1..t_m get a
     fresh color per mirrored pair t_j, t_(m+1-j) around its centre: one
@@ -203,6 +203,12 @@ def _theta_coloring(threads: Sequence[Sequence[int]]) -> dict[int, int]:
     separates the hubs and any pair split by a centre, a mirrored pair cuts
     off the stretch between its ends, and the class of a second centre,
     with the hubs or on every thread, separates its two neighbours.
+
+    On a cycle C_n, split into two threads with m_1 + m_2 = n - 2 inner
+    vertices, the count is floor(n/2), the pair bound of its hubs, whatever
+    the split.  Both m_i odd: 2 + (m_1 - 1)/2 + (m_2 - 1)/2 = 2 + (n - 4)/2.
+    One odd, so n odd: 2 + (m_odd - 1)/2 + (m_even - 2)/2 = 2 + (n - 5)/2.
+    Both even: 3 + (m_1 - 2)/2 + (m_2 - 2)/2 = 3 + (n - 6)/2.
     """
     all_even = all(len(t) % 2 == 0 for t in threads)  # m = len(t) - 2
     coloring = {threads[0][0]: 1, threads[0][-1]: 1}
@@ -221,29 +227,25 @@ def _theta_coloring(threads: Sequence[Sequence[int]]) -> dict[int, int]:
 
 
 def mvd_closed_form(g: Graph) -> Optional[MvdResult]:
-    """Known families: complete graphs, cycles, and thetas whose coloring
-    meets the pair bound of its hubs; else None.
+    """Known families: complete graphs, and thetas whose coloring meets the
+    pair bound of its hubs; else None.
 
-    A theta graph (see ``graph.theta_threads``) has k >= 3 threads between
-    nonadjacent hubs a and b; it is 2-connected and triangle-free, so its
-    threads certify the bound 1 + (n - k) // 2 (``certified_bound``).  It
-    gets ``_theta_coloring``, which is kept only when its color count equals
-    that bound, so the coloring is then optimal.  The count meets the bound
-    when at most one thread has an even number of inner vertices, or when
-    there are three threads and all do (P(500,500,500) gets 750); it misses
-    it on, for example, P(2,2,1), and those thetas go to exact search or the
-    guard.
+    A theta graph (see ``graph.theta_threads``) has k >= 2 threads between
+    nonadjacent hubs a and b; a cycle of order >= 4 is the theta with two
+    threads.  It is 2-connected and triangle-free, so its threads certify
+    the bound 1 + (n - k) // 2 (``certified_bound``).  It gets
+    ``_theta_coloring``, which is kept only when its color count equals that
+    bound, so the coloring is then optimal.  The count meets the bound when
+    at most one thread has an even number of inner vertices, or when there
+    are at most three threads and all do, so on every cycle (floor(n/2), see
+    ``_theta_coloring``) and on P(500,500,500) (750); it misses it on, for
+    example, P(2,2,1), and those thetas go to exact search or the guard.
     """
     n = g.order
     if n < 2 or not is_connected(g):
         return None
     if is_complete(g):
         return MvdResult(n, {v: v + 1 for v in range(n)}, "closed-form")
-    walk = cycle_order(g)
-    if walk is not None and n >= 4:
-        half = n // 2
-        coloring = {v: (j % half) + 1 for j, v in enumerate(walk)}
-        return MvdResult(half, coloring, "closed-form")
     threads = theta_threads(g)
     if threads is not None:
         coloring = _theta_coloring(threads)
@@ -367,7 +369,7 @@ def mvd_via_blocks(g: Graph, catalog: Optional[Catalog] = None) -> MvdResult:
     return MvdResult(value, coloring, "block-composed", block_methods=trail, decomposition=dec)
 
 
-# Cycles and complete graphs are single blocks that ``solve_block`` solves in
-# closed form, and trees consist of trivial blocks, so the block pipeline
-# already covers every whole-graph closed form.
+# Thetas, cycles among them, and complete graphs are single blocks that
+# ``solve_block`` solves in closed form, and trees consist of trivial blocks,
+# so the block pipeline already covers every whole-graph closed form.
 solve_auto = mvd_via_blocks

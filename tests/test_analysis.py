@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+import mvdcolor.analysis as analysis_module
 from mvdcolor.analysis import (
+    _DEFICIT,
     GateError,
     bound_blocks,
     bound_half_order,
@@ -12,9 +14,9 @@ from mvdcolor.analysis import (
     nontrivial_core,
 )
 from mvdcolor.catalog import theta_graph
-from mvdcolor.graph import Graph, complete_graph, cycle_graph, path_graph
-from mvdcolor.solve import mvd_exact, mvd_via_blocks
-from builders import attach_blocks, random_cactus, random_tree, star_graph, with_pendants
+from mvdcolor.graph import Graph, complete_graph, cycle_graph, path_graph, theta_threads
+from mvdcolor.solve import MvdResult, mvd_exact, mvd_via_blocks
+from builders import attach_blocks, census_graphs, random_cactus, random_tree, star_graph, with_pendants
 from oracles import triangle_blocks_value
 
 
@@ -93,6 +95,34 @@ def test_classify_families():
     res = classify(k23)
     assert res.order == 7 and res.mvd == 4
     assert res.regime == "n-3" and res.family == "class-A"
+
+
+def test_deficit_table_matches_the_census_to_order_8():
+    # mvd <= floor(n/2) on a block, so a block of deficit d has order <= 2d: order 8 covers d <= 4
+    seen = set()
+    for n, blocks in census_graphs(8).items():
+        for g in blocks if n >= 4 else ():
+            deficit = n - mvd_exact(g).value
+            threads = theta_threads(g)
+            key = None if threads is None else tuple(sorted(len(t) - 2 for t in threads))
+            assert (deficit <= 4) == (key in _DEFICIT), (n, key, deficit)
+            if key in _DEFICIT:
+                assert _DEFICIT[key] == deficit, key
+                seen.add(key)
+    assert seen == set(_DEFICIT)
+
+
+def test_classify_cross_checks_the_solver_with_block_deficits(monkeypatch):
+    g = glue_at_vertex(cycle_graph(4), theta_graph([1, 1, 1]))  # deficits 2 + 3
+
+    def off_by_one(graph, catalog=None):
+        res = mvd_via_blocks(graph, catalog)
+        return MvdResult(res.value + 1, res.coloring, res.method)
+
+    assert classify(g).regime == "n-5"
+    monkeypatch.setattr(analysis_module, "mvd_via_blocks", off_by_one)
+    with pytest.raises(AssertionError, match=r"block deficits \[2, 3\] sum to n-5, solver says n-4"):
+        classify(g)
 
 
 def test_classify_reports_core():

@@ -505,6 +505,24 @@ def test_catalog_build_over_a_larger_build_exits_2(tmp_path, capsys):
     assert len(load_catalog(out)) == 7
 
 
+@pytest.mark.parametrize("args, path", [
+    (("solve", "{dir}"), "{dir}"),
+    (("solve", "{graph}", "--catalog", "{file}"), "{file}"),
+    (("catalog", "build", "--max-order", "4", "--out", "{file}"), "{file}"),
+    (("export-dot", "{graph}", "--out", "{dir}"), "{dir}"),
+    (("solve", "{graph}", "--emit-dot", "{dir}"), "{dir}"),
+], ids=["solve-dir", "catalog-file", "build-out-file", "export-dot-dir", "emit-dot-dir"])
+def test_os_errors_exit_2(tmp_path, data_dir, capsys, args, path):
+    """A path of the wrong kind is an input error, not a negative verdict."""
+    from mvdcolor.cli import main
+
+    (tmp_path / "file").write_text("")
+    paths = {"dir": str(tmp_path), "file": str(tmp_path / "file"), "graph": str(data_dir / "example17.txt")}
+    assert main([arg.format(**paths) for arg in args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and repr(path.format(**paths)) in err
+
+
 @pytest.fixture()
 def report_inputs(tmp_path, data_dir) -> dict:
     from mvdcolor.graph import cycle_graph, format_matrix, induced_subgraph

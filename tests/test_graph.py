@@ -346,9 +346,14 @@ def test_theta_threads():
 
     assert theta_threads(theta_graph([3, 1, 2])) == [[0, 2, 3, 4, 1], [0, 5, 1], [0, 6, 7, 1]]
     assert theta_threads(theta_graph([1] * 10)) == [[0, v, 1] for v in range(2, 12)]
+    # a cycle is the theta with two threads, split at vertex 0 and the vertex two steps along
+    assert theta_threads(cycle_graph(6)) == [[0, 1, 2], [0, 5, 4, 3, 2]]
     k23 = theta_graph([1, 1, 1]).edges()
     rejected = {
-        "cycle": cycle_graph(6),
+        "triangle": cycle_graph(3),
+        "two disjoint triangles": Graph.from_edges(
+            [str(v) for v in range(6)], [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
+        ),
         "bare hub edge": theta_graph([2, 1, 0]),
         "chord": Graph.from_edges(theta_graph([3, 3, 3]).labels, theta_graph([3, 3, 3]).edges() + [(3, 6)]),
         "two cycles sharing a vertex": Graph.from_edges(

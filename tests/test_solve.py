@@ -299,8 +299,8 @@ def test_fast_assignment_check_matches_public_verifier():
 def test_closed_forms():
     res = mvd_closed_form(cycle_graph(9))
     assert res is not None and res.value == 4
-    walk_colors = [res.coloring[v] for v in range(9)]
-    assert walk_colors == [1, 2, 3, 4, 1, 2, 3, 4, 1]
+    # threads [0, 1, 2] and [0, 8, 7, ..., 2]: hubs 1, centres 2 and 1, mirrored pairs 3 and 4
+    assert [res.coloring[v] for v in range(9)] == [1, 2, 1, 3, 4, 1, 2, 4, 3]
     assert mvd_closed_form(cycle_graph(3)).value == 3
     star = star_graph(4)
     assert mvd_closed_form(star) is None  # a tree is all trivial blocks
@@ -391,6 +391,23 @@ def test_chain_of_large_thetas_composes():
     assert color_count(res.coloring) == res.value
     assert is_mvd_coloring(g, res.coloring).ok
     assert ok, line
+
+
+def test_every_two_thread_split_of_a_cycle_meets_half_its_order():
+    for n in range(4, 13):
+        for m in range(1, n - 2):  # threads of m and n - 2 - m inner vertices
+            threads = [[0, *range(1, m + 1), m + 1], [0, *range(n - 1, m + 1, -1), m + 1]]
+            coloring = _theta_coloring(threads)
+            assert color_count(coloring) == n // 2, (n, m)
+            assert oracle_is_mvd(cycle_graph(n), coloring), (n, m)
+
+
+def test_cycle_closed_form_is_half_the_order():
+    for n in range(4, 61):
+        g = cycle_graph(n)
+        res = mvd_closed_form(g)
+        assert res is not None and res.value == n // 2 and color_count(res.coloring) == n // 2, n
+        assert is_mvd_coloring(g, res.coloring).ok, n
 
 
 def test_closed_forms_agree_with_exact():
