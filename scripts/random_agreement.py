@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
 """Stress the composition identity: blockwise value vs whole-graph exact search.
 
-Samples random connected graphs and, every other sample, random cacti of
-cycles C3..C7 and bridges, whose cycle blocks the blockwise solver colors in
-closed form.  Solves each sample both ways and reports any disagreement
+Samples, in turn, random connected graphs, random cacti of cycles C3..C7
+and bridges, whose cycle blocks the blockwise solver colors in closed form,
+and random thetas P(m_1..m_k) with k >= 3 threads, which it also colors in
+closed form; every other theta has two or more threads with an even number
+of inner vertices, where the value mostly falls below the k-path bound of
+the hubs.  Solves each sample both ways and reports any disagreement
 (there should be none).  Exits 1 when a sample disagrees, so a job that
 runs it fails.
 """
@@ -14,6 +17,7 @@ import argparse
 import random
 import time
 
+from mvdcolor.catalog import theta_graph
 from mvdcolor.graph import Graph
 from mvdcolor.solve import mvd_exact, mvd_via_blocks
 from mvdcolor.verify import is_mvd_coloring
@@ -33,6 +37,17 @@ def random_small_cactus(rng: random.Random, max_order: int) -> Graph:
             return g
 
 
+def random_theta(rng: random.Random, max_order: int, even_threads: bool) -> Graph:
+    """A random theta with k >= 3 threads and order at most max_order (>= 5),
+    redrawn until two or more threads are even when ``even_threads`` is set
+    (possible from order 7 on)."""
+    while True:
+        k = rng.randint(3, max_order - 2)
+        spec = [rng.randint(1, max_order - 1 - k) for _ in range(k)]
+        if 2 + sum(spec) <= max_order and (not even_threads or sum(m % 2 == 0 for m in spec) >= 2):
+            return theta_graph(spec)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--samples", type=int, default=300)
@@ -44,8 +59,10 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.time()
     disagreements = 0
     for trial in range(args.samples):
-        if trial % 2:
+        if trial % 3 == 1:
             g = random_small_cactus(rng, args.max_order)
+        elif trial % 3 == 2 and args.max_order >= 5:
+            g = random_theta(rng, args.max_order, even_threads=trial % 6 == 5 and args.max_order >= 7)
         else:
             g = random_connected_graph(rng, rng.randint(2, args.max_order))
         a = mvd_via_blocks(g)

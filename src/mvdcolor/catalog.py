@@ -9,10 +9,9 @@ vertex, so single-ear extensions of smaller minimal blocks reach the whole
 class.  Each minimal candidate is labelled once, and a stored block's
 automorphisms from that search leave one ear per orbit of vertex pairs to
 try; generation returns that labelling beside each block.
-``build_catalog`` solves each census block in closed form where
-``solve.mvd_closed_form`` certifies one (thetas whose coloring meets the
-pair bound of their hubs, a cycle being the theta with two threads) and
-with ``mvd_exact`` otherwise.
+``build_catalog`` solves each census block that is a theta (a cycle being
+the theta with two threads) in closed form with ``solve.mvd_closed_form``
+and every other block with ``mvd_exact``.
 Every entry's coloring is certified before it is indexed, whether it comes
 through ``Catalog.add`` or from ``build_catalog``, so built and loaded
 entries are checked alike.
@@ -197,7 +196,7 @@ class Catalog:
 
 def build_catalog(max_order: int) -> Catalog:
     """Generate the census up to max_order and solve every entry, in closed
-    form where one is certified, else with ``mvd_exact``; each entry is
+    form where one applies, else with ``mvd_exact``; each entry is
     certified as ``Catalog.add`` does and indexed under the labelling that
     generation found."""
     cat = Catalog()

@@ -3,15 +3,14 @@
 The exact solver walks the colourings of a class count k as
 restricted-growth strings: it colours one vertex at a time, keeps a bitmask
 per colour class, and checks each full assignment against those masks.  On
-a 2-connected triangle-free graph it ascends from k = 2 to floor(n/2), the
-pair bound that every nonadjacent pair certifies (see ``certified_bound``),
-and cuts every branch whose classes, grown by the uncoloured vertices,
-already fail; the last passing level is the value.  Any other graph keeps
-the unpruned descent from the order, where a first success at k proves the
-value is k (see ``mvd_exact``).  Closed forms
-cover complete graphs and theta graphs, a cycle being the theta with two
-threads, whose constructive coloring reaches the pair bound of their hubs;
-thetas that miss it go to exact search.
+a 2-connected triangle-free graph it ascends from k = 2 to floor(n/2), a
+ceiling that every such graph meets (see ``mvd_exact``), and cuts every
+branch whose classes, grown by the uncoloured vertices, already fail; the
+last passing level is the value.  Any other graph keeps the unpruned
+descent from the order, where a first success at k proves the value is k.
+Closed forms cover complete graphs and every theta graph, a cycle being the
+theta with two threads; the theta colouring's count is proved optimal (see
+``_theta_coloring``).
 Block-composed solving decomposes the graph, solves each block via catalog
 lookup, closed form, or exact search, stitches the per-block colorings
 across cut vertices in reverse decomposition order, and composes the value
@@ -109,16 +108,21 @@ def mvd_exact(g: Graph) -> MvdResult:
     k = 2, 3, ... up to floor(n/2), stopping at the first level that fails,
     and the last passing level is the value.  Those walks prune from the
     fourth vertex on (see ``_walk``).  The ceiling is valid: such a graph is
-    not complete, and by Menger it joins any nonadjacent pair by two
-    internally disjoint paths, whose pair bound (``certified_bound``) is
-    1 + (n - 2) // 2 = floor(n/2).  It covers every minimal block of order
-    >= 4, all of which are triangle-free.  Every other input keeps the
-    unpruned descent from n, where the one partition is all singletons (so a
-    complete graph gets n distinct colours), and a first pass at k proves the
-    value is k.  Pruning it would be as exact; it waits because
-    ``perfbench/run.py`` keeps every op's output, so faster ``solve`` ops
-    raise that workload's peak memory (ROADMAP item 1).  Both searches return the first passing leaf of the
-    same walk at k = value, so they give the same coloring.
+    not complete, so it has a nonadjacent pair x, y, and by Menger two
+    internally disjoint x-y paths.  In a passing partition some class minus
+    {x, y} separates x and y, so it holds an inner vertex of each path: two
+    vertices.  Every class has at least 2 vertices: a vertex v has two
+    neighbours, nonadjacent as the graph is triangle-free, every cut between
+    them contains v, so v's class holds a cut, and a cut of a 2-connected
+    graph has at least 2 vertices.  So 2k <= n.  It covers every minimal
+    block of order >= 4, all of which are triangle-free.  Every other input
+    keeps the unpruned descent from n, where the one partition is all
+    singletons (so a complete graph gets n distinct colours), and a first
+    pass at k proves the value is k.  Pruning it would be as exact; it waits
+    because ``perfbench/run.py`` keeps every op's output, so faster
+    ``solve`` ops raise that workload's peak memory (ROADMAP item 1).  Both
+    searches return the first passing leaf of the same walk at k = value, so
+    they give the same coloring.
 
     Coarsening monotonicity: merging two classes C and D of a passing
     partition gives a passing partition.  If C - {x, y} separates a
@@ -152,44 +156,6 @@ def mvd_exact(g: Graph) -> MvdResult:
     return MvdResult(len(found), {v: c + 1 for c, mask in enumerate(found) for v in _bits(mask)}, "exact")
 
 
-def certified_bound(g: Graph, a: int, b: int, paths: Sequence[Sequence[int]]) -> int:
-    """The upper bound 1 + (n - k) // 2 on mvd(g) that k internally disjoint
-    walks ``paths`` from a to b certify; ValueError when g is not 2-connected
-    and triangle-free, when a and b are not a nonadjacent pair, or when the
-    walks are not internally disjoint a-b walks of g.
-
-    Let a passing coloring use c classes.
-
-    - a and b are nonadjacent, so some class holds an a-b cut, which meets
-      the k walks at k distinct inner vertices;
-    - g is triangle-free and has no vertex of degree < 2, so every vertex has
-      two nonadjacent neighbours, every cut between them contains it, and so
-      every class holds a cut;
-    - g has no cut vertex, so every cut, and so every class, has >= 2
-      vertices.
-
-    So k + 2(c - 1) <= n.  Checked in O(n + m) plus the walks' length: one
-    block search, one AND per edge, and one step per walk vertex.
-    """
-    n = g.order
-    if not (triangle_free(g) and is_two_connected(g)):
-        raise ValueError("the pair bound needs a 2-connected triangle-free graph")
-    if not (0 <= a < n and 0 <= b < n) or a == b or g.has_edge(a, b):
-        raise ValueError(f"ends {a}, {b} are not a nonadjacent pair of g")
-    seen = 1 << a | 1 << b
-    for path in paths:
-        if len(path) < 2 or path[0] != a or path[-1] != b:
-            raise ValueError(f"walk {list(path)} does not run from {a} to {b}")
-        for u, v in zip(path, path[1:]):
-            if not (0 <= v < n and g.has_edge(u, v)):
-                raise ValueError(f"walk step {u}-{v} is not an edge of g")
-        for v in path[1:-1]:
-            if seen >> v & 1:
-                raise ValueError(f"vertex {v} is not a private inner vertex of one walk")
-            seen |= 1 << v
-    return 1 + (n - len(paths)) // 2
-
-
 def _theta_coloring(threads: Sequence[Sequence[int]]) -> dict[int, int]:
     """A passing coloring of the theta graph with these k >= 2 threads (walks
     from hub a to hub b, each with an inner vertex); k = 2 is a cycle.
@@ -204,11 +170,36 @@ def _theta_coloring(threads: Sequence[Sequence[int]]) -> dict[int, int]:
     off the stretch between its ends, and the class of a second centre,
     with the hubs or on every thread, separates its two neighbours.
 
-    On a cycle C_n, split into two threads with m_1 + m_2 = n - 2 inner
-    vertices, the count is floor(n/2), the pair bound of its hubs, whatever
-    the split.  Both m_i odd: 2 + (m_1 - 1)/2 + (m_2 - 1)/2 = 2 + (n - 4)/2.
+    The count F = 2 + [every m even] + sum floor((m - 1)/2) is mvd(theta),
+    so the coloring is optimal.  The coloring gives mvd >= F.  For mvd <= F,
+    take a passing coloring of the theta with c colors.
+
+    1. Restriction.  If C - {x, y} separates x and y in G, then
+       (C n V(H)) - {x, y} separates them in every induced subgraph H that
+       holds x and y.  So a passing coloring restricted to a connected
+       induced subgraph H still passes, with one color per class that
+       meets H, and at most mvd(H) classes meet H.
+    2. Every class has >= 2 vertices.  A vertex's neighbours are pairwise
+       nonadjacent, as the theta is triangle-free, and every cut between
+       two of them contains the vertex.  So its class holds a cut, and a
+       cut of the 2-connected theta has >= 2 vertices.
+    3. The a-b class meets every thread.  The class that separates the
+       nonadjacent hubs a and b has an inner vertex on every thread.
+
+    Base, k = 2.  The theta is the cycle C_n, so (2) gives c <= floor(n/2),
+    which is F whatever the split into threads with m_1 + m_2 = n - 2 inner
+    vertices.  Both m_i odd: 2 + (m_1 - 1)/2 + (m_2 - 1)/2 = 2 + (n - 4)/2.
     One odd, so n odd: 2 + (m_odd - 1)/2 + (m_even - 2)/2 = 2 + (n - 5)/2.
     Both even: 3 + (m_1 - 2)/2 + (m_2 - 2)/2 = 3 + (n - 6)/2.
+
+    Step, k >= 3.  Remove the inner vertices of one thread j, with m_j even
+    if some m is even; what is left is the theta of the other k - 1
+    threads, a connected induced subgraph.  By (1) and induction, at most
+    F' classes meet it, F' being the count over the other threads.  Every
+    other class lies inside thread j, has >= 2 vertices by (2), and misses
+    the a-b class's vertex on thread j by (3), so there are at most
+    floor((m_j - 1)/2) of them.  The choice of j makes [every other m even]
+    = [every m even], so c <= F' + floor((m_j - 1)/2) = F.
     """
     all_even = all(len(t) % 2 == 0 for t in threads)  # m = len(t) - 2
     coloring = {threads[0][0]: 1, threads[0][-1]: 1}
@@ -227,19 +218,12 @@ def _theta_coloring(threads: Sequence[Sequence[int]]) -> dict[int, int]:
 
 
 def mvd_closed_form(g: Graph) -> Optional[MvdResult]:
-    """Known families: complete graphs, and thetas whose coloring meets the
-    pair bound of its hubs; else None.
+    """Known families: complete graphs and theta graphs; else None.
 
-    A theta graph (see ``graph.theta_threads``) has k >= 2 threads between
-    nonadjacent hubs a and b; a cycle of order >= 4 is the theta with two
-    threads.  It is 2-connected and triangle-free, so its threads certify
-    the bound 1 + (n - k) // 2 (``certified_bound``).  It gets
-    ``_theta_coloring``, which is kept only when its color count equals that
-    bound, so the coloring is then optimal.  The count meets the bound when
-    at most one thread has an even number of inner vertices, or when there
-    are at most three threads and all do, so on every cycle (floor(n/2), see
-    ``_theta_coloring``) and on P(500,500,500) (750); it misses it on, for
-    example, P(2,2,1), and those thetas go to exact search or the guard.
+    A theta graph (see ``graph.theta_threads``) has k >= 2 threads, each with
+    an inner vertex, between nonadjacent hubs; a cycle of order >= 4 is the
+    theta with two threads.  It gets ``_theta_coloring``, whose color count
+    is its value (proof there): 750 on P(500,500,500), 2 on P(2,2,1).
     """
     n = g.order
     if n < 2 or not is_connected(g):
@@ -247,12 +231,10 @@ def mvd_closed_form(g: Graph) -> Optional[MvdResult]:
     if is_complete(g):
         return MvdResult(n, {v: v + 1 for v in range(n)}, "closed-form")
     threads = theta_threads(g)
-    if threads is not None:
-        coloring = _theta_coloring(threads)
-        value = color_count(coloring)
-        if value == certified_bound(g, threads[0][0], threads[0][-1], threads):
-            return MvdResult(value, coloring, "closed-form")
-    return None
+    if threads is None:
+        return None
+    coloring = _theta_coloring(threads)
+    return MvdResult(color_count(coloring), coloring, "closed-form")
 
 
 def mvd_compose(dec: BlockDecomposition, per_block: Sequence[MvdResult]) -> int:

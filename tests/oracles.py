@@ -5,9 +5,11 @@ permutation search, full partition enumeration) and stays independent of the
 implementation paths it validates.  Reference helpers that the library no
 longer needs also live here: the restricted-growth partition enumerator that
 the exact search used to draw from, ``restrict``, the census generator that
-attaches an ear at every vertex pair, ``triangle_blocks_value``, which
-reads the library's block decomposition, ``reference_parse_matrix``, the
-whole-file tokenising matrix reader that the one-pass reader replaced, and
+attaches an ear at every vertex pair, ``k_path_bound``, the bound that k
+disjoint paths between a nonadjacent pair certify,
+``triangle_blocks_value``, which reads the library's block decomposition,
+``reference_parse_matrix``, the whole-file tokenising matrix reader that
+the one-pass reader replaced, and
 ``reference_canonical_labelling``, the canonical search whose refinement sorts
 every touched cell whole, which the move-only-touched-vertices refinement
 replaced.
@@ -169,6 +171,17 @@ def triangle_blocks_value(g: Graph) -> Optional[int]:
         if not (bg.order == 3 and bg.size == 3):
             return None
     return g.order
+
+
+def k_path_bound(g: Graph, a: int, b: int, paths: Sequence[Sequence[int]]) -> int:
+    """1 + (n - k) // 2, the upper bound on mvd(g) of a 2-connected
+    triangle-free g that k internally disjoint a-b paths certify for a
+    nonadjacent pair a, b: the class that separates a and b holds an inner
+    vertex of every path, and every other class has at least 2 vertices."""
+    assert not g.has_edge(a, b) and all(p[0] == a and p[-1] == b for p in paths)
+    inner = [v for p in paths for v in p[1:-1]]
+    assert len(inner) == len(set(inner)), "paths share an inner vertex"
+    return 1 + (g.order - len(paths)) // 2
 
 
 def restrict(coloring: Mapping[int, int], vertices: Iterable[int]) -> dict[int, int]:

@@ -16,7 +16,7 @@ from mvdcolor.analysis import (
 from mvdcolor.catalog import theta_graph
 from mvdcolor.graph import Graph, complete_graph, cycle_graph, path_graph, theta_threads
 from mvdcolor.solve import MvdResult, mvd_exact, mvd_via_blocks
-from builders import attach_blocks, census_graphs, random_cactus, random_tree, star_graph, with_pendants
+from builders import attach_blocks, census_graphs, random_cactus, random_tree, star_graph, theta_specs, with_pendants
 from oracles import triangle_blocks_value
 
 
@@ -110,6 +110,18 @@ def test_deficit_table_matches_the_census_to_order_8():
                 assert _DEFICIT[key] == deficit, key
                 seen.add(key)
     assert seen == set(_DEFICIT)
+
+
+def test_deficit_table_matches_the_proved_theta_deficit():
+    # n - mvd(P(m_1..m_k)) = sum ceil((m_i + 1)/2) - [every m_i even], by the parity count
+    # (solve._theta_coloring); mvd <= floor(n/2) keeps a deficit <= 4 at order <= 8
+    def deficit(key):
+        return sum((m + 2) // 2 for m in key) - all(m % 2 == 0 for m in key)
+
+    keys = [tuple(sorted(spec)) for spec in theta_specs(8)] + [(1, n - 3) for n in range(4, 9)]
+    assert {key for key in keys if deficit(key) <= 4} == set(_DEFICIT)
+    for key, d in _DEFICIT.items():
+        assert d == deficit(key), key
 
 
 def test_classify_cross_checks_the_solver_with_block_deficits(monkeypatch):

@@ -319,13 +319,40 @@ def test_export_dot_round_trip(tmp_path, data_dir):
 
 def test_solve_guard_exit_code(tmp_path):
     from mvdcolor.catalog import theta_graph
-    from mvdcolor.graph import format_matrix
+    from mvdcolor.graph import Graph, format_matrix
 
+    theta = theta_graph([2, 2, 1, 1, 1, 1, 1, 1])
     big = tmp_path / "big.txt"
-    big.write_text(format_matrix(theta_graph([2, 2, 1, 1, 1, 1, 1, 1])))  # order 12, misses the theta bound
+    big.write_text(format_matrix(Graph.from_edges(theta.labels, theta.edges() + [(2, 5)])))  # order 12, no theta
     proc = run_cli("solve", str(big), "--method", "blocks")
     assert proc.returncode == 3
     assert "guard" in proc.stderr
+
+
+@pytest.mark.parametrize("spec, value", [((4, 4, 4, 4, 4), 8), ((10, 2, 1), 6)])
+def test_solve_theta_below_the_path_bound_in_closed_form(tmp_path, spec, value):
+    # orders 22 and 15: beyond the exact-search guard, and minutes of exact search without it
+    from mvdcolor.catalog import theta_graph
+    from mvdcolor.graph import format_matrix
+    from mvdcolor.verify import is_mvd_coloring
+
+    g = theta_graph(spec)
+    path = tmp_path / "theta.txt"
+    path.write_text(format_matrix(g))
+    budget = 2.0
+    t0 = time.time()
+    proc = run_cli("solve", str(path), "--json")
+    elapsed = time.time() - t0
+    ok = elapsed < budget
+    line = f"solve P{spec}: {'PASS' if ok else 'FAIL (over budget)'} ({elapsed:.2f}s of {budget:.0f}s budget)"
+    print(line)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["mvd"] == value and report["self_check"] == "PASS"
+    assert [b["method"] for b in report["blocks"]] == ["closed-form"]
+    coloring = {g.labels.index(label): c for label, c in report["coloring"].items()}
+    assert len(set(coloring.values())) == value and is_mvd_coloring(g, coloring).ok
+    assert ok, line
 
 
 def test_json_reports(data_dir):

@@ -18,6 +18,8 @@ from mvdcolor.graph import (
     complete_graph,
     cycle_graph,
     default_labels,
+    induced_subgraph,
+    is_connected,
     load_graph,
     path_graph,
     triangle_free,
@@ -25,7 +27,6 @@ from mvdcolor.graph import (
 from mvdcolor.solve import (
     MvdResult,
     _theta_coloring,
-    certified_bound,
     counting_formula,
     mvd_closed_form,
     mvd_compose,
@@ -35,7 +36,7 @@ from mvdcolor.solve import (
 )
 from mvdcolor.verify import _classes, color_count, is_mvd_coloring, pair_rows, partition_passes
 from builders import attach_blocks, census_graphs, random_cactus, random_connected_graph, random_tree, star_graph, theta_specs
-from oracles import all_set_partitions, oracle_is_mvd, partitions_into_k_classes, restrict
+from oracles import all_set_partitions, k_path_bound, oracle_is_mvd, partitions_into_k_classes, restrict
 
 
 def test_partition_enumeration_counts():
@@ -254,7 +255,7 @@ def _pin_pair_bound_on_census(n: int) -> int:
         value = _half_order_value(g)
         h = nx.Graph(g.edges())
         bounds = [
-            certified_bound(g, a, b, list(nx.node_disjoint_paths(h, a, b)))
+            k_path_bound(g, a, b, list(nx.node_disjoint_paths(h, a, b)))
             for a in range(n) for b in range(a + 1, n) if not g.has_edge(a, b)
         ]
         assert min(bounds) >= value, g.edges()
@@ -269,20 +270,6 @@ def test_pair_bound_holds_on_the_census_to_order_9():
 @pytest.mark.slow
 def test_pair_bound_holds_on_the_census_at_order_10():
     assert _pin_pair_bound_on_census(10) == 17
-
-
-def test_certified_bound_checks_its_certificate():
-    k23 = theta_graph([1, 1, 1])  # hubs 0 and 1, inner vertices 2, 3, 4
-    assert certified_bound(k23, 0, 1, [[0, 2, 1], [0, 3, 1], [0, 4, 1]]) == 2
-    assert certified_bound(k23, 0, 1, [[0, 2, 1], [0, 3, 1]]) == 2
-    with pytest.raises(ValueError, match="private inner vertex"):
-        certified_bound(k23, 0, 1, [[0, 2, 1], [0, 3, 1], [0, 2, 1]])
-    with pytest.raises(ValueError, match="not an edge"):
-        certified_bound(k23, 0, 1, [[0, 2, 3, 1]])
-    with pytest.raises(ValueError, match="not a nonadjacent pair"):
-        certified_bound(k23, 0, 2, [[0, 2]])
-    with pytest.raises(ValueError, match="2-connected triangle-free"):
-        certified_bound(complete_graph(4), 0, 1, [])
 
 
 def test_fast_assignment_check_matches_public_verifier():
@@ -312,7 +299,10 @@ def test_closed_forms():
     chorded = Graph.from_edges(chorded.labels, chorded.edges() + [(3, 6)])
     wheel = Graph.from_edges(default_labels(6), [(0, i) for i in range(1, 6)] + [(i, i % 5 + 1) for i in range(1, 6)])
     bowtie = Graph.from_edges(default_labels(7), [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 5), (5, 6), (6, 0)])
-    for g in (theta_graph([2, 2, 1]), theta_graph([2, 2, 1, 1]), theta_graph([2, 1, 0]), chorded, wheel, bowtie):
+    for spec in ([2, 2, 1], [2, 2, 1, 1]):  # two even threads: below the k-path bound of the hubs
+        res = mvd_closed_form(theta_graph(spec))
+        assert res is not None and res.value == 2 and res.method == "closed-form", spec
+    for g in (theta_graph([2, 1, 0]), chorded, wheel, bowtie):
         assert mvd_closed_form(g) is None
 
 
@@ -325,25 +315,24 @@ def _threads_of(spec):
     return threads
 
 
-def test_theta_closed_form_is_certified_exactly_at_the_bound():
+def _parity_count(spec) -> int:
+    """2 + [every m even] + sum floor((m - 1)/2): mvd of the theta P(spec)."""
+    return 2 + all(m % 2 == 0 for m in spec) + sum((m - 1) // 2 for m in spec)
+
+
+def test_theta_closed_form_is_the_parity_count():
     specs = theta_specs(16, min_threads=2)
     assert len(specs) == 493
-    certified = 0
+    below_path_bound = 0
     for spec in specs:
-        g, k = theta_graph(spec), len(spec)
+        g = theta_graph(spec)
         coloring = _theta_coloring(_threads_of(spec))
-        assert is_mvd_coloring(g, coloring).ok, spec
-        count = color_count(coloring)
-        assert count == 2 + all(m % 2 == 0 for m in spec) + sum((m - 1) // 2 for m in spec)
-        bound = 1 + (g.order - k) // 2
-        assert count <= bound
-        certified += count == bound
-        if k >= 3:
-            res = mvd_closed_form(g)
-            assert (res is None) == (count != bound), spec
-            if res is not None:
-                assert res.value == bound and color_count(res.coloring) == bound
-    assert certified == 281
+        assert color_count(coloring) == _parity_count(spec) and is_mvd_coloring(g, coloring).ok, spec
+        res = mvd_closed_form(g)
+        assert res.method == "closed-form" and res.value == _parity_count(spec), spec
+        assert color_count(res.coloring) == res.value and is_mvd_coloring(g, res.coloring).ok, spec
+        below_path_bound += res.value < 1 + (g.order - len(spec)) // 2
+    assert below_path_bound == 493 - 281  # thetas that the k-path bound of the hubs cannot certify
 
 
 def _pin_thetas_against_exact(specs):
@@ -352,7 +341,24 @@ def _pin_thetas_against_exact(specs):
         exact = mvd_exact(g).value
         assert color_count(_theta_coloring(_threads_of(spec))) == exact, spec
         res = mvd_closed_form(g)
-        assert res is None or res.value == exact, spec
+        assert res.value == exact, spec
+
+
+def test_passing_coloring_restricts_to_connected_induced_subgraphs():
+    # step 1 of the theta proof: a cut's trace on an induced subgraph still separates
+    rng = random.Random(71)
+    restricted = 0
+    for trial in range(40):
+        g = random_connected_graph(rng, rng.randint(3, 8))
+        coloring = mvd_exact(g).coloring
+        for _ in range(5):
+            vertices = sorted(rng.sample(range(g.order), rng.randint(2, g.order - 1)))
+            h = induced_subgraph(g, vertices)
+            if not is_connected(h):
+                continue
+            restricted += 1
+            assert oracle_is_mvd(h, {i: coloring[v] for i, v in enumerate(vertices)}), (g.edges(), vertices)
+    assert restricted >= 60
 
 
 def test_theta_coloring_matches_exact_to_order_10():
@@ -604,16 +610,25 @@ def test_long_cycle_solves_within_budget(n, budget):
     assert ok, line
 
 
+def _with_chord_2_5(g: Graph) -> Graph:
+    """g plus the edge (2, 5): a theta with it is a block of the same order that is no theta."""
+    return Graph.from_edges(g.labels, g.edges() + [(2, 5)])
+
+
 def test_via_blocks_guard_names_the_block():
-    big_block = theta_graph([2, 2, 1, 1, 1, 1, 1, 1])  # order 12, a theta that misses the bound
+    theta = theta_graph([2, 2, 1, 1, 1, 1, 1, 1])  # order 12
+    res = mvd_via_blocks(theta)
+    assert res.value == 2 and res.block_methods == ("closed-form",)
     with pytest.raises(GuardError, match="block {a, b, c"):
-        mvd_via_blocks(big_block)
+        mvd_via_blocks(_with_chord_2_5(theta))
 
 
 def test_guard_message_stays_short_on_a_large_block():
-    g = theta_graph([500, 500, 2, 2])  # order 1006, misses the theta bound
+    theta = theta_graph([500, 500, 2, 2])  # order 1006
+    res = mvd_via_blocks(theta)
+    assert res.value == 501 and res.block_methods == ("closed-form",)
     with pytest.raises(GuardError) as err:
-        mvd_via_blocks(g)
+        mvd_via_blocks(_with_chord_2_5(theta))
     message = str(err.value)
     assert "guard" in message and "order 1006" in message
     assert message.startswith("block {v1, v10, v100, ...}")
