@@ -78,8 +78,26 @@ class Graph:
         object.__setattr__(self, "label_index", index)
 
     @classmethod
+    def _unchecked(cls, labels: tuple[str, ...], neighbors: tuple[tuple[int, ...], ...]) -> "Graph":
+        """``__post_init__`` without its checks, for this module's builders,
+        whose labels are nonempty and distinct and whose adjacency is sorted,
+        symmetric and duplicate-free."""
+        masks = []
+        for nbrs in neighbors:
+            m = 0
+            for w in nbrs:
+                m |= 1 << w
+            masks.append(m)
+        g = object.__new__(cls)
+        vars(g).update(labels=labels, neighbors=neighbors, adj_masks=tuple(masks),
+                       label_index={lab: i for i, lab in enumerate(labels)})
+        return g
+
+    @classmethod
     def from_edges(cls, labels: Sequence[str], edges: Iterable[tuple[int, int]]) -> "Graph":
         n = len(labels)
+        if not all(labels) or len(set(labels)) != n:
+            cls(tuple(labels), ((),) * n)  # raises naming the first bad label
         nbrs: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
             if u == v:
@@ -88,7 +106,7 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) out of range")
             nbrs[u].add(v)
             nbrs[v].add(u)
-        return cls(tuple(labels), tuple(tuple(sorted(s)) for s in nbrs))
+        return cls._unchecked(tuple(labels), tuple(tuple(sorted(s)) for s in nbrs))
 
     @property
     def order(self) -> int:
@@ -157,13 +175,8 @@ def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
         if not 0 <= v < g.order:
             raise ValueError(f"vertex index {v} not in graph")
     pos = {v: i for i, v in enumerate(vertices)}
-    edges = [
-        (pos[u], pos[v])
-        for u in vertices
-        for v in g.neighbors[u]
-        if v in pos and pos[u] < pos[v]
-    ]
-    return Graph.from_edges([g.labels[v] for v in vertices], edges)
+    nbrs = tuple(tuple(sorted(pos[w] for w in g.neighbors[u] if w in pos)) for u in vertices)
+    return Graph._unchecked(tuple(g.labels[v] for v in vertices), nbrs)
 
 
 def is_complete(g: Graph) -> bool:
@@ -316,7 +329,7 @@ def parse_matrix(text: str) -> tuple[Graph, Optional[dict[int, int]]]:
         if asym := (m ^ upper[i]) >> (i + 1):
             j = i + (asym & -asym).bit_length()
             raise GraphFormatError(f"asymmetric entries for {labels[i]!r},{labels[j]!r}", line=2 + j, column=i + 1)
-    g = Graph(tuple(labels), tuple(map(tuple, nbrs)))
+    g = Graph._unchecked(tuple(labels), tuple(map(tuple, nbrs)))
     if colors[0] is None:
         return g, None
     return g, dict(enumerate(colors))  # type: ignore[arg-type]

@@ -266,13 +266,13 @@ def stitch_colorings(dec: BlockDecomposition, per_block: Sequence[Mapping[int, i
     up to renaming; the class of that shared cut vertex is renamed to the
     vertex's fixed global color and every other class receives a fresh color,
     allocated consecutively in processing order.  The result uses exactly (sum
-    of per-block color counts) - r + 1 colors.  Each block is checked once, on
-    the restriction of the stitched coloring, with the exact search's pass
-    test; that catches a bad block coloring and a stitching fault alike, and
-    only a failure runs the full verifier, to name the least failing pair.  By
-    the block lemma (see ``verify``) the whole graph then passes.  A trivial
-    block, a K2, has no nonadjacent pair, so only its local coloring's
-    totality is checked.
+    of per-block color counts) - r + 1 colors.  Each nontrivial block is
+    checked once, on the restriction of the stitched coloring, by the block
+    loop ``is_mvd_coloring`` runs (``verify.block_failures``); that catches a
+    bad block coloring and a stitching fault alike, and the first failing
+    block is named with its least failing pair.  By the block lemma (see
+    ``verify``) the whole graph then passes.  A trivial block, a K2, has no
+    nonadjacent pair, so only its local coloring's totality is checked.
     """
     if len(per_block) != dec.r:
         raise ValueError(f"expected {dec.r} block colorings, got {len(per_block)}")
@@ -289,18 +289,13 @@ def stitch_colorings(dec: BlockDecomposition, per_block: Sequence[Mapping[int, i
                 next_color += 1
         for local_v, parent_v in enumerate(block.vertices):
             global_coloring[parent_v] = rename[local[local_v]]
-    for block in dec.blocks:
-        if block.trivial:
-            continue
+    for block, (x, y) in verify.block_failures(dec, global_coloring):
         bg = block.graph
-        witness = verify._failing_pair(bg, [global_coloring[v] for v in block.vertices])
-        if witness is not None:
-            x, y = witness
-            raise ValueError(
-                "block coloring fails verification on block "
-                f"{{{', '.join(sorted(bg.labels))}}}: "
-                f"no monochromatic cut for {bg.labels[x]!r},{bg.labels[y]!r}"
-            )
+        raise ValueError(
+            "block coloring fails verification on block "
+            f"{{{', '.join(sorted(bg.labels))}}}: "
+            f"no monochromatic cut for {bg.labels[x]!r},{bg.labels[y]!r}"
+        )
     return global_coloring
 
 

@@ -15,16 +15,21 @@ class.  The pairs still to check are held as rows, one partner mask per
 vertex, and a class clears what it cuts from a row with one AND, so no pair is
 visited class by class.
 
-Block lemma: a coloring passes on G iff its restriction passes on every block,
-because a pair in two different blocks is separated by a single cut vertex.
-Blockwise solving therefore verifies once per block.
+Block lemma: a coloring passes on G iff its restriction passes on every block:
+a pair in two blocks is separated by a single cut vertex, and every path
+between two vertices of one block stays in the block.  ``is_mvd_coloring``
+applies it itself, with the pass test once per nontrivial block in the loop
+that stitching also runs (``block_failures``); only the certificate, about
+n^2/2 pairs, is swept over the whole graph, when it is first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
+from .blocks import Block, BlockDecomposition, decompose
 from .graph import Graph, _bits, is_connected
 
 
@@ -34,12 +39,18 @@ class MvdVerdict:
 
     ``witness`` is the least nonadjacent pair (by label) with no monochromatic
     cut; ``certificate`` maps every nonadjacent pair to the least color whose
-    class separates it and is present exactly when the verdict is ok.
+    class separates it and is present exactly when the verdict is ok; it is
+    swept from ``graph`` and ``colors`` (in vertex order) when first read.
     """
 
     ok: bool
     witness: Optional[tuple[int, int]]
-    certificate: Optional[Mapping[tuple[int, int], int]]
+    graph: Graph = field(repr=False, compare=False)
+    colors: tuple[int, ...] = field(repr=False, compare=False)
+
+    @cached_property
+    def certificate(self) -> Optional[Mapping[tuple[int, int], int]]:
+        return _certificate(self.graph, self.colors) if self.ok else None
 
 
 def _require_total(g: Graph, coloring: Mapping[int, int]) -> None:
@@ -138,18 +149,13 @@ def monochromatic_cut_exists(
     return None
 
 
-def is_mvd_coloring(g: Graph, coloring: Mapping[int, int]) -> MvdVerdict:
-    """Check every nonadjacent pair; complete graphs pass vacuously.
-
-    The classes are swept in ascending color order, each clearing the pairs
-    it cuts from the rows, until every row is empty or the classes run out.
-    The witness, when present, is the least failing pair in label order, and
-    each certificate color is the least separating one.
-    """
-    _require_verifiable(g, coloring)
+def _certificate(g: Graph, colors: Sequence[int]) -> dict[tuple[int, int], int]:
+    """Each nonadjacent pair's least separating color, in label order, for a
+    passing coloring with ``colors`` in vertex order: the classes sweep the
+    whole graph in ascending color order, each clearing the pairs it cuts."""
     left = pair_rows(g)
     color_of: dict[int, dict[int, int]] = {x: {} for x, _ in left}  # least cutting color by partner
-    for color, class_mask in _classes(coloring[v] for v in range(g.order)):
+    for color, class_mask in _classes(colors):
         if not left:
             break
         joined = class_view(g, class_mask)
@@ -162,13 +168,21 @@ def is_mvd_coloring(g: Graph, coloring: Mapping[int, int]) -> MvdVerdict:
                 still.append((x, rest))
         left = still
     by_label = g.labels.__getitem__
-    if left:
-        x, row = left[0]
-        return MvdVerdict(ok=False, witness=(x, min(_bits(row), key=by_label)), certificate=None)
     certificate: dict[tuple[int, int], int] = {}
     for x, found in color_of.items():
         certificate.update(((x, y), found[y]) for y in sorted(found, key=by_label))
-    return MvdVerdict(ok=True, witness=None, certificate=certificate)
+    return certificate
+
+
+def is_mvd_coloring(g: Graph, coloring: Mapping[int, int]) -> MvdVerdict:
+    """Check every nonadjacent pair, block by block; complete graphs pass
+    vacuously.  By the block lemma the failing pairs of g are those of its
+    blocks, so the witness is the least of them, in label order, over the
+    blocks that fail.  The certificate is built when first read."""
+    _require_verifiable(g, coloring)
+    pairs = [(block.vertices[x], block.vertices[y]) for block, (x, y) in block_failures(decompose(g), coloring)]
+    witness = min(pairs, key=lambda pair: (g.labels[pair[0]], g.labels[pair[1]]), default=None)
+    return MvdVerdict(witness is None, witness, g, tuple(coloring[v] for v in range(g.order)))
 
 
 def partition_passes(
@@ -195,12 +209,29 @@ def partition_passes(
 
 def _failing_pair(g: Graph, colors: Sequence[int]) -> Optional[tuple[int, int]]:
     """None when the coloring with ``colors`` in vertex order passes, else
-    ``is_mvd_coloring``'s witness; the caller has checked the inputs.  The
-    pass test builds no certificate; only a failure runs the full verifier,
-    to name the least failing pair."""
-    if partition_passes(g, [mask for _, mask in _classes(colors)], pair_rows(g), {}):
+    the least nonadjacent pair in label order that no class separates; the
+    caller has checked the inputs.  The pass test builds no certificate, and
+    a failure reads the witness off the class views it built."""
+    masks, rows, memo = [mask for _, mask in _classes(colors)], pair_rows(g), {}
+    if partition_passes(g, masks, rows, memo):
         return None
-    return is_mvd_coloring(g, dict(enumerate(colors))).witness
+    for x, row in rows:
+        for mask in masks:
+            row &= memo[mask][x]
+        if row:
+            return x, min(_bits(row), key=g.labels.__getitem__)
+    raise AssertionError("a failing partition has a failing pair")
+
+
+def block_failures(dec: BlockDecomposition, coloring: Mapping[int, int]) -> Iterator[tuple[Block, tuple[int, int]]]:
+    """Each nontrivial block on which the coloring of the decomposed graph
+    fails, in decomposition order, with its least failing pair in block
+    indices.  A trivial block, a K2, has no nonadjacent pair."""
+    for block in dec.blocks:
+        if not block.trivial:
+            pair = _failing_pair(block.graph, [coloring[v] for v in block.vertices])
+            if pair is not None:
+                yield block, pair
 
 
 def color_count(coloring: Mapping[int, int]) -> int:

@@ -93,6 +93,20 @@ def oracle_monochromatic_cut_colors(g: Graph, coloring: dict[int, int], x: int, 
     return found
 
 
+def oracle_least_cut_color(g: Graph, coloring: Mapping[int, int], x: int, y: int) -> Optional[int]:
+    """min(oracle_monochromatic_cut_colors(...)), or None, without the subsets.
+
+    A separator that avoids x and y still separates them when vertices other
+    than x and y are added, so a cut of color c exists iff c's whole class
+    minus {x, y} separates the pair: one flood fill per color, at any order.
+    """
+    for color in sorted(set(coloring.values())):
+        cut = {v for v, c in coloring.items() if c == color} - {x, y}
+        if oracle_separates(g, cut, x, y):
+            return color
+    return None
+
+
 def oracle_is_mvd(g: Graph, coloring: dict[int, int]) -> bool:
     for x in range(g.order):
         for y in range(x + 1, g.order):

@@ -341,6 +341,36 @@ def test_graph_rejects_bad_structure():
         Graph(("a", "b"), ((1,), ()))  # asymmetric
 
 
+def test_trusted_builders_agree_with_the_checked_constructor(monkeypatch):
+    rng = random.Random(2024)
+    graphs = [random_connected_graph(rng, rng.randint(2, 12)) for _ in range(40)]
+    subsets = [rng.sample(range(g.order), rng.randint(1, g.order)) for g in graphs]
+    with monkeypatch.context() as patch:
+        patch.setattr(Graph, "__post_init__", lambda self: pytest.fail("a trusted builder ran the checks"))
+        built = [
+            (parse_matrix(format_matrix(g))[0], induced_subgraph(g, vs), Graph.from_edges(g.labels, g.edges()))
+            for g, vs in zip(graphs, subsets)
+        ]
+    for g, vs, trusted in zip(graphs, subsets, built):
+        whole = Graph(g.labels, g.neighbors)
+        sub = Graph(
+            tuple(g.labels[v] for v in vs),
+            tuple(tuple(j for j, w in enumerate(vs) if g.has_edge(v, w)) for v in vs),
+        )
+        for got, want in zip(trusted, (whole, sub, whole)):
+            assert got == want
+            assert (got.adj_masks, got.label_index) == (want.adj_masks, want.label_index)
+    for labels, edges, message in [
+        (["a", ""], [(0, 1)], "empty label"),
+        (["a", "a"], [(0, 1)], "duplicate label"),
+        (["a", "b"], [(1, 1)], "self-loop"),
+        (["a", "b"], [(0, 2)], "out of range"),
+        (["a", "b"], [(-1, 0)], "out of range"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            Graph.from_edges(labels, edges)
+
+
 def test_theta_threads():
     from mvdcolor.catalog import theta_graph
 

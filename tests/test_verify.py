@@ -18,6 +18,8 @@ from mvdcolor.graph import (
     parse_coloring,
     path_graph,
 )
+import mvdcolor.verify as verify
+from mvdcolor.solve import mvd_via_blocks
 from mvdcolor.verify import (
     class_view,
     color_count,
@@ -25,7 +27,13 @@ from mvdcolor.verify import (
     monochromatic_cut_exists,
 )
 from builders import attach_blocks, random_connected_graph, random_tree
-from oracles import oracle_is_mvd, oracle_monochromatic_cut_colors, oracle_separates, restrict
+from oracles import (
+    oracle_is_mvd,
+    oracle_least_cut_color,
+    oracle_monochromatic_cut_colors,
+    oracle_separates,
+    restrict,
+)
 
 
 def test_c4_alternating_pair_has_cut():
@@ -217,6 +225,85 @@ def test_block_lemma_verdict_is_the_conjunction_over_blocks():
         assert verdict == all(per_block)
         seen.add(verdict)
     assert seen == {True, False}
+
+
+def test_block_local_verdict_matches_the_oracle_on_glued_graphs():
+    # ok, witness and certificate on glued graphs of order up to about 40,
+    # where a failing block's least pair must beat every other block's
+    rng = random.Random(4711)
+    templates = [
+        path_graph(2), cycle_graph(4), cycle_graph(5), cycle_graph(6), complete_graph(4),
+        theta_graph([1, 1, 1]), theta_graph([2, 1, 1]), theta_graph([2, 2, 1]),
+    ]
+    verdicts, shared_witness = set(), 0
+    for trial in range(160):
+        base = attach_blocks(rng, templates, rng.randint(2, 9))
+        n = base.order
+        g = Graph(tuple(rng.sample(default_labels(n), n)), base.neighbors)
+        if trial % 3 == 0:
+            coloring = mvd_via_blocks(g).coloring
+        else:
+            coloring = {v: rng.randint(1, rng.randint(1, 3)) for v in range(n)}
+        by_label = sorted(range(n), key=lambda v: g.labels[v])
+        witness, certificate = None, {}
+        for i, x in enumerate(by_label):
+            for y in by_label[i + 1:]:
+                if g.has_edge(x, y):
+                    continue
+                color = oracle_least_cut_color(g, coloring, x, y)
+                if n <= 8:
+                    assert color == min(oracle_monochromatic_cut_colors(g, coloring, x, y), default=None)
+                if color is None:
+                    witness = (x, y)
+                    break
+                certificate[(x, y)] = color
+            if witness is not None:
+                break
+        verdict = is_mvd_coloring(g, coloring)
+        assert (verdict.ok, verdict.witness) == (witness is None, witness)
+        assert verdict.certificate == (certificate if witness is None else None)
+        verdicts.add(verdict.ok)
+        if witness is not None:
+            dec = decompose(g)
+            failing = [
+                b for b in dec.blocks
+                if witness[0] in b.vertices
+                and not oracle_is_mvd(b.graph, {i: coloring[v] for i, v in enumerate(b.vertices)})
+            ]
+            shared_witness += witness[0] in dec.cut_vertices and len(failing) >= 2
+    assert verdicts == {True, False} and shared_witness
+
+
+def test_reading_the_verdict_builds_no_certificate(monkeypatch):
+    def sweep_forbidden(*_):
+        raise AssertionError("certificate sweep ran")
+
+    g = cycle_graph(8)
+    passing, failing = {v: v % 2 + 1 for v in range(8)}, {v: v + 1 for v in range(8)}
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "_certificate", sweep_forbidden)
+        assert is_mvd_coloring(g, passing).ok
+        verdict = is_mvd_coloring(g, failing)
+        assert (verdict.ok, verdict.witness) == (False, (0, 2))
+        assert verdict.certificate is None
+    sweeps = []
+    real = verify._certificate
+    monkeypatch.setattr(verify, "_certificate", lambda *a: sweeps.append(1) or real(*a))
+    verdict = is_mvd_coloring(g, passing)
+    first = verdict.certificate
+    assert verdict.certificate is first and len(first) == 8 * 7 // 2 - 8
+    assert sweeps == [1]
+
+
+def test_long_path_verdict_within_budget():
+    n = 2000
+    g = path_graph(n)
+    budget = 0.5
+    t0 = time.perf_counter()
+    ok = is_mvd_coloring(g, {v: v + 1 for v in range(n)}).ok
+    elapsed = time.perf_counter() - t0
+    assert ok
+    assert elapsed < budget, f"verdict on P{n} took {elapsed:.3f}s of {budget}s"
 
 
 def test_class_view_matches_the_separation_oracle():
