@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .graph import Graph, induced_subgraph, is_connected
+from .graph import Graph, induced_subgraph
 
 
 @dataclass(frozen=True)
@@ -145,12 +145,16 @@ def is_minimally_two_connected(g: Graph) -> bool:
 
 
 def decompose(g: Graph) -> BlockDecomposition:
-    """All blocks and cut vertices of a connected graph of order >= 2."""
-    if g.order < 2:
-        raise ValueError("block decomposition needs at least 2 vertices")
-    if not is_connected(g):
-        raise ValueError("block decomposition needs a connected graph")
-    raw_blocks, cuts = _dfs_engine(g.neighbors, root=0)
-    blocks = tuple(Block(tuple(vs), induced_subgraph(g, vs)) for vs in raw_blocks)
-    return BlockDecomposition(blocks, frozenset(cuts))
+    """All blocks and cut vertices of a connected graph of order >= 2, found
+    once per graph and kept on it, outside its fields.  The search tests
+    connectivity: a connected graph's r blocks hold n + r - 1 vertex slots."""
+    if "_decomposition" not in vars(g):
+        if g.order < 2:
+            raise ValueError("block decomposition needs at least 2 vertices")
+        raw_blocks, cuts = _dfs_engine(g.neighbors, root=0)
+        if sum(map(len, raw_blocks)) - len(raw_blocks) + 1 != g.order:
+            raise ValueError("block decomposition needs a connected graph")
+        blocks = tuple(Block(tuple(vs), induced_subgraph(g, vs)) for vs in raw_blocks)
+        vars(g)["_decomposition"] = BlockDecomposition(blocks, frozenset(cuts))
+    return vars(g)["_decomposition"]
 

@@ -146,7 +146,7 @@ class Catalog:
 
     entries: list[CatalogEntry] = field(default_factory=list)
     _by_canon: dict[tuple, tuple[CatalogEntry, list[int]]] = field(default_factory=dict, repr=False)
-    _max_order: int = field(default=0, repr=False)
+    _degrees: set[tuple[int, ...]] = field(default_factory=set, repr=False)
 
     def add(self, entry: CatalogEntry) -> None:
         self._certify(entry)
@@ -176,12 +176,13 @@ class Catalog:
                 f"entry {entry.id!r} is isomorphic to existing entry {self._by_canon[found.relabelled][0].id!r}"
             )
         self._by_canon[found.relabelled] = (entry, found.order)
+        self._degrees.add(_degree_sequence(entry.graph))
         self.entries.append(entry)
-        self._max_order = max(self._max_order, entry.order)
 
     def lookup(self, g: Graph) -> Optional[tuple[CatalogEntry, dict[int, int]]]:
-        """The entry isomorphic to g and a vertex map onto it, else None; skips graphs past every entry."""
-        if g.order > self._max_order:
+        """The entry isomorphic to g and a vertex map onto it, else None; a graph
+        whose degree sequence no entry shares misses with no canonical search."""
+        if _degree_sequence(g) not in self._degrees:
             return None
         found = canonical_labelling(g)
         entry, entry_order = self._by_canon.get(found.relabelled, (None, []))
@@ -192,6 +193,10 @@ class Catalog:
 
     def __len__(self) -> int:
         return len(self.entries)
+
+
+def _degree_sequence(g: Graph) -> tuple[int, ...]:
+    return tuple(sorted(map(len, g.neighbors)))
 
 
 def build_catalog(max_order: int) -> Catalog:

@@ -36,8 +36,8 @@ class Graph:
     """Undirected simple graph: unique text labels plus symmetric adjacency.
 
     ``neighbors[v]`` is the sorted tuple of vertices adjacent to v.  Derived
-    bitmask adjacency is cached for fast set operations; it does not take
-    part in equality.
+    bitmask adjacency is cached for fast set operations, and
+    ``blocks.decompose`` keeps its result here; neither takes part in equality.
     """
 
     labels: tuple[str, ...]

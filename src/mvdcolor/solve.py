@@ -11,8 +11,8 @@ descent from the order, where a first success at k proves the value is k.
 Closed forms cover complete graphs and every theta graph, a cycle being the
 theta with two threads; the theta colouring's count is proved optimal (see
 ``_theta_coloring``).
-Block-composed solving decomposes the graph, solves each block via catalog
-lookup, closed form, or exact search, stitches the per-block colorings
+Block-composed solving decomposes the graph, solves each block by trivial,
+closed form, catalog lookup or exact search, stitches the per-block colorings
 across cut vertices in reverse decomposition order, and composes the value
 as ``sum of block values - r + 1``.
 """
@@ -55,6 +55,7 @@ class MvdResult:
 def _walk(
     g: Graph,
     n: int,
+    full: int,
     rows: Sequence[tuple[int, int]],
     memo: dict[int, list[int]],
     masks: list[int],
@@ -62,10 +63,10 @@ def _walk(
     used: int,
     check_from: int,
 ) -> bool:
-    """Colour vertices v..n-1 (n is g's order) into the classes of ``masks``,
-    classes 1..used open, in restricted-growth order; True, with ``masks``
-    holding it, at the first partition into exactly ``len(masks)`` classes
-    that passes.
+    """Colour vertices v..n-1 (n is g's order, ``full`` its vertex mask) into
+    the classes of ``masks``, classes 1..used open, in restricted-growth
+    order; True, with ``masks`` holding it, at the first partition into
+    exactly ``len(masks)`` classes that passes.
 
     From vertex ``check_from`` on, a branch is cut when the open classes,
     each grown by every vertex still uncoloured, fail the pass test.  That
@@ -83,14 +84,14 @@ def _walk(
     if v == n:
         return partition_passes(g, masks, rows, memo)
     if v >= check_from:
-        left = g.full_mask() >> v << v
+        left = full >> v << v
         if not partition_passes(g, [mask | left for mask in masks[:used]], rows, memo):
             return False
     bit = 1 << v
     # once the unopened classes need every vertex left, v must open one
     for c in range(used if n - v == k - used else 0, min(used + 1, k)):
         masks[c] |= bit
-        if _walk(g, n, rows, memo, masks, v + 1, used + (c == used), check_from):
+        if _walk(g, n, full, rows, memo, masks, v + 1, used + (c == used), check_from):
             return True
         masks[c] ^= bit
     return False
@@ -139,19 +140,19 @@ def mvd_exact(g: Graph) -> MvdResult:
         raise GuardError(f"exact search limited to order {MAX_EXACT_ORDER}, got {n}")
     if not is_connected(g):
         raise ValueError("mvd is defined for connected graphs")
-    rows = pair_rows(g)
+    rows, full = pair_rows(g), g.full_mask()
     memo: dict[int, list[int]] = {}
     if n >= 4 and triangle_free(g) and is_two_connected(g):
-        found = [g.full_mask()]  # the single class always passes
+        found = [full]  # the single class always passes
         for k in range(2, n // 2 + 1):
             masks = [1] + [0] * (k - 1)  # vertex 0 opens class 1
-            if not _walk(g, n, rows, memo, masks, 1, 1, 3):
+            if not _walk(g, n, full, rows, memo, masks, 1, 1, 3):
                 break
             found = masks
     else:
         for k in range(n, 0, -1):
             found = [1] + [0] * (k - 1)  # vertex 0 opens class 1
-            if _walk(g, n, rows, memo, found, 1, 1, n):
+            if _walk(g, n, full, rows, memo, found, 1, 1, n):
                 break
     return MvdResult(len(found), {v: c + 1 for c, mask in enumerate(found) for v in _bits(mask)}, "exact")
 
@@ -223,10 +224,11 @@ def mvd_closed_form(g: Graph) -> Optional[MvdResult]:
     A theta graph (see ``graph.theta_threads``) has k >= 2 threads, each with
     an inner vertex, between nonadjacent hubs; a cycle of order >= 4 is the
     theta with two threads.  It gets ``_theta_coloring``, whose color count
-    is its value (proof there): 750 on P(500,500,500), 2 on P(2,2,1).
+    is its value (proof there): 750 on P(500,500,500), 2 on P(2,2,1).  Only
+    connected graphs pass either test, so connectivity is not tested apart.
     """
     n = g.order
-    if n < 2 or not is_connected(g):
+    if n < 2:
         return None
     if is_complete(g):
         return MvdResult(n, {v: v + 1 for v in range(n)}, "closed-form")
@@ -300,22 +302,23 @@ def stitch_colorings(dec: BlockDecomposition, per_block: Sequence[Mapping[int, i
 
 
 def solve_block(block: Block, catalog: Optional[Catalog]) -> MvdResult:
-    """Solve one block: trivial, catalog lookup, closed form, then exact.
+    """Solve one block by its cheapest certified answer: trivial, the O(n)
+    closed form, catalog lookup (a canonical search), then exact search.
 
     The result's ``method`` is the block's trail entry: ``trivial``,
-    ``catalog:<id>`` naming the matched entry, ``closed-form`` or ``exact``.
+    ``closed-form``, ``catalog:<id>`` naming the matched entry, or ``exact``.
     """
     bg = block.graph
     if block.trivial:
         return MvdResult(2, {0: 1, 1: 2}, "trivial")
+    closed = mvd_closed_form(bg)
+    if closed is not None:
+        return closed
     if catalog is not None:
         hit = catalog.lookup(bg)
         if hit is not None:
             entry, mapping = hit
             return MvdResult(entry.mvd_value, transfer_coloring(mapping, entry.coloring), f"catalog:{entry.id}")
-    closed = mvd_closed_form(bg)
-    if closed is not None:
-        return closed
     if bg.order > MAX_EXACT_ORDER:
         first = ", ".join(sorted(bg.labels)[:3])
         raise GuardError(
@@ -334,9 +337,10 @@ def mvd_via_blocks(g: Graph, catalog: Optional[Catalog] = None) -> MvdResult:
     """
     if g.order < 2:
         raise ValueError("mvd is defined for graphs of order >= 2")
-    if not is_connected(g):
-        raise ValueError("mvd is defined for connected graphs")
-    dec = decompose(g)
+    try:
+        dec = decompose(g)
+    except ValueError:  # g has order >= 2, so it is not connected
+        raise ValueError("mvd is defined for connected graphs") from None
     solved = [solve_block(block, catalog) for block in dec.blocks]
     value = mvd_compose(dec, solved)
     coloring = stitch_colorings(dec, [res.coloring for res in solved])

@@ -178,9 +178,16 @@ def is_mvd_coloring(g: Graph, coloring: Mapping[int, int]) -> MvdVerdict:
     """Check every nonadjacent pair, block by block; complete graphs pass
     vacuously.  By the block lemma the failing pairs of g are those of its
     blocks, so the witness is the least of them, in label order, over the
-    blocks that fail.  The certificate is built when first read."""
-    _require_verifiable(g, coloring)
-    pairs = [(block.vertices[x], block.vertices[y]) for block, (x, y) in block_failures(decompose(g), coloring)]
+    blocks that fail.  The certificate is built when first read.  The blocks,
+    which also show that g is connected, are those ``decompose`` kept on g."""
+    if g.order < 2:
+        raise ValueError("verification needs at least 2 vertices")
+    try:
+        dec = decompose(g)
+    except ValueError:  # g has order >= 2, so it is not connected
+        raise ValueError("verification needs a connected graph") from None
+    _require_total(g, coloring)
+    pairs = [(block.vertices[x], block.vertices[y]) for block, (x, y) in block_failures(dec, coloring)]
     witness = min(pairs, key=lambda pair: (g.labels[pair[0]], g.labels[pair[1]]), default=None)
     return MvdVerdict(witness is None, witness, g, tuple(coloring[v] for v in range(g.order)))
 

@@ -7,7 +7,7 @@ import pytest
 from mvdcolor.blocks import decompose
 from mvdcolor.catalog import is_minimally_two_connected, theta_graph
 from mvdcolor.graph import Graph, cycle_graph, load_graph, path_graph
-from builders import census_graphs, random_connected_graph, star_graph
+from builders import attach_blocks, census_graphs, random_connected_graph, star_graph
 from oracles import naive_cut_vertices, oracle_is_two_connected
 
 
@@ -160,3 +160,75 @@ def test_cut_vertices_blocks_and_minimality_match_networkx():
         assert is_minimally_two_connected(g) == expected, g
         minimal_seen += expected
     assert minimal_seen > len(census)
+
+
+def test_decomposition_is_computed_once_and_kept_outside_the_fields():
+    import dataclasses
+
+    g = path_graph(5)
+    twin = path_graph(5)
+    before = (hash(g), repr(g))
+    assert decompose(g) is decompose(g)
+    assert decompose(twin) is not decompose(g)
+    assert g == twin and (hash(g), repr(g)) == before == (hash(twin), repr(twin))
+    assert "_decomposition" not in {f.name for f in dataclasses.fields(g)}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g._decomposition = None
+
+
+def _count_block_searches(monkeypatch) -> list:
+    import mvdcolor.blocks as blocks_module
+
+    seen = []
+    real = blocks_module._dfs_engine
+    monkeypatch.setattr(blocks_module, "_dfs_engine", lambda neighbors, root: seen.append(neighbors) or real(neighbors, root))
+    return seen
+
+
+def test_a_solve_and_its_verdict_share_one_decomposition(monkeypatch):
+    import mvdcolor.solve as solve_module
+    import mvdcolor.verify as verify_module
+    from mvdcolor.catalog import build_catalog
+    from mvdcolor.solve import mvd_via_blocks
+    from mvdcolor.verify import is_mvd_coloring
+
+    cat = build_catalog(8)
+    bridge = Graph.from_edges(["a", "b"], [(0, 1)])
+    templates = [bridge, *(g for n in (5, 7, 8) for g in census_graphs(8)[n])]
+    g = attach_blocks(random.Random(3), templates, 12)
+    searches = _count_block_searches(monkeypatch)
+    for module in (solve_module, verify_module):  # connectivity comes from the block search
+        monkeypatch.setattr(module, "is_connected", lambda g: pytest.fail("separate connectivity test"))
+    result = mvd_via_blocks(g, cat)
+    assert is_mvd_coloring(g, result.coloring).ok
+    assert {how.split(":")[0] for how in result.block_methods} == {"trivial", "closed-form", "catalog"}
+    assert searches == [g.neighbors]
+
+
+def test_classify_decomposes_its_graph_once(data_dir, monkeypatch):
+    from mvdcolor.analysis import classify
+
+    g, _ = load_graph(str(data_dir / "example17.txt"))
+    searches = _count_block_searches(monkeypatch)
+    assert classify(g).mvd == 3
+    # the gate and the exact search also run the search on each block's own graph
+    assert sum(neighbors is g.neighbors for neighbors in searches) == 1
+    tree = path_graph(6)
+    searches.clear()
+    assert classify(tree).mvd == 6
+    assert searches == [tree.neighbors]
+
+
+def test_connectivity_errors_keep_their_messages():
+    from mvdcolor.solve import mvd_via_blocks
+    from mvdcolor.verify import is_mvd_coloring
+
+    apart = Graph.from_edges(["a", "b", "c"], [(0, 1)])
+    with pytest.raises(ValueError, match="block decomposition needs a connected graph"):
+        decompose(apart)
+    with pytest.raises(ValueError, match="verification needs a connected graph"):
+        is_mvd_coloring(apart, {0: 1, 1: 2, 2: 1})
+    with pytest.raises(ValueError, match="mvd is defined for connected graphs"):
+        mvd_via_blocks(apart)
+    with pytest.raises(ValueError, match="verification needs at least 2 vertices"):
+        is_mvd_coloring(Graph(("a",), ((),)), {0: 1})

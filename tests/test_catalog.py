@@ -6,7 +6,7 @@ import random
 import pytest
 
 import mvdcolor.catalog as catalog_module
-from mvdcolor.blocks import is_two_connected
+from mvdcolor.blocks import Block, decompose, is_two_connected
 from mvdcolor.catalog import (
     Catalog,
     CatalogEntry,
@@ -29,8 +29,8 @@ from mvdcolor.graph import (
     triangle_free,
 )
 from mvdcolor.iso import canonical_form, canonical_labelling, find_isomorphism
-from mvdcolor.solve import mvd_closed_form, mvd_via_blocks
-from builders import census_graphs, generate_minimal_blocks
+from mvdcolor.solve import mvd_closed_form, mvd_exact, mvd_via_blocks, solve_block
+from builders import attach_blocks, census_graphs, generate_minimal_blocks, random_connected_graph
 from oracles import every_pair_minimal_blocks_up_to, graphs_of_order, oracle_is_minimally_two_connected
 
 
@@ -327,17 +327,23 @@ def test_census_id_is_rejected_and_other_ids_round_trip(tmp_path):
     assert {e.id: (e.graph, e.coloring) for e in again.entries} == {e.id: (e.graph, e.coloring) for e in cat.entries}
 
 
+def _non_theta_block_of_order_7() -> Graph:
+    """The one minimal block of order 7 that no closed form answers."""
+    (block,) = [g for g in census_graphs(7)[7] if mvd_closed_form(g) is None]
+    return block
+
+
 def test_entry_value_is_its_color_count():
-    c5 = cycle_graph(5)
-    coloring = mvd_closed_form(c5).coloring
+    block = _non_theta_block_of_order_7()
+    coloring = mvd_exact(block).coloring
     with pytest.raises(TypeError):
-        CatalogEntry("c5", c5, 3, coloring)  # a value can no longer disagree with the coloring
-    entry = CatalogEntry("c5", c5, coloring)
+        CatalogEntry("b7", block, 3, coloring)  # a value can no longer disagree with the coloring
+    entry = CatalogEntry("b7", block, coloring)
     assert entry.mvd_value == 2
     cat = Catalog()
     cat.add(entry)
-    result = mvd_via_blocks(c5, cat)
-    assert (result.value, result.block_methods) == (2, ("catalog:c5",))
+    result = mvd_via_blocks(block, cat)
+    assert (result.value, result.block_methods) == (2, ("catalog:b7",))
 
 
 def test_save_refuses_a_directory_with_entries_it_would_not_overwrite(tmp_path):
@@ -381,3 +387,105 @@ def test_lookup_is_isomorphism_invariant():
                 assert entry.graph.has_edge(mapping[u], mapping[v])
     absent = Graph.from_edges(default_labels(4), [(0, 1), (1, 2), (2, 3)])
     assert cat.lookup(absent) is None
+
+
+def _no_canonical_search(monkeypatch) -> None:
+    def search(g):
+        raise AssertionError(f"canonical search on {g.edges()}")
+
+    monkeypatch.setattr(catalog_module, "canonical_labelling", search)
+
+
+@pytest.fixture(scope="module")
+def census9():
+    return build_catalog(9)
+
+
+def test_closed_forms_come_before_the_catalog(monkeypatch, census9):
+    # a theta, a cycle and a complete block, each in the catalog, read closed-form
+    blocks = [theta_graph([1, 1, 1]), cycle_graph(6), complete_graph(3)]
+    assert all(census9.lookup(g) is not None for g in blocks)
+    glued = attach_blocks(random.Random(23), blocks, 9)
+    assert {b.graph.order for b in decompose(glued).blocks} == {3, 5, 6}
+    _no_canonical_search(monkeypatch)
+    for g in blocks:
+        assert solve_block(Block(tuple(range(g.order)), g), census9).method == "closed-form"
+    result = mvd_via_blocks(glued, census9)
+    assert set(result.block_methods) == {"closed-form"}
+    assert result.value == mvd_via_blocks(glued).value
+
+
+def test_a_census_block_with_no_closed_form_reads_its_entry(census9):
+    block = _non_theta_block_of_order_7()
+    (entry,) = [e for e in census9.entries_of_order(7) if mvd_closed_form(e.graph) is None]
+    perm = list(range(7))
+    random.Random(5).shuffle(perm)
+    relabelled = induced_subgraph(block, perm)
+    glued = attach_blocks(random.Random(5), [relabelled, cycle_graph(5)], 4)
+    result = mvd_via_blocks(glued, census9)
+    trail = dict(zip((b.graph.order for b in decompose(glued).blocks), result.block_methods))
+    assert trail[7] == f"catalog:{entry.id}" and trail[5] == "closed-form"
+    assert result.value == mvd_via_blocks(glued).value
+
+
+def _wheel(n: int) -> Graph:
+    return Graph.from_edges(default_labels(n), [(0, i) for i in range(1, n)] + [(i, i % (n - 1) + 1) for i in range(1, n)])
+
+
+def _with_hub_edge(spec) -> Graph:
+    g = theta_graph(spec)
+    return Graph.from_edges(g.labels, g.edges() + [(0, 1)])
+
+
+_PRISM = Graph.from_edges(default_labels(6), [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)])
+_DIAMOND = Graph.from_edges(default_labels(4), [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+_CUBE = Graph.from_edges(default_labels(8), [(u, u ^ bit) for u in range(8) for bit in (1, 2, 4) if u < u ^ bit])
+_K33 = Graph.from_edges(default_labels(6), [(u, v) for u in range(3) for v in range(3, 6)])
+
+
+def _non_minimal_blocks() -> list[Graph]:
+    """The shapes of the benchmark's non-minimal glued blocks: the diamond,
+    W5, W7, the prism, K3,3, the cube, and thetas with adjacent hubs."""
+    thetas = [_with_hub_edge(spec) for spec in ([1, 1, 1], [2, 2], [3, 2], [3, 3])]
+    return [_DIAMOND, _wheel(5), _wheel(7), _PRISM, _K33, _CUBE, *thetas]
+
+
+def test_lookup_misses_an_unmatched_degree_sequence_without_a_search(monkeypatch, census9):
+    _no_canonical_search(monkeypatch)
+    for g in [*map(_wheel, range(5, 11)), _PRISM, _DIAMOND, _CUBE, complete_graph(4), cycle_graph(14)]:
+        assert census9.lookup(g) is None, g.edges()
+
+
+def test_lookup_hits_every_census_block_to_order_9_under_relabelling(census9):
+    rng = random.Random(99)
+    for entry in census9.entries:
+        for _ in range(3):
+            perm = list(range(entry.order))
+            rng.shuffle(perm)
+            relabelled = induced_subgraph(entry.graph, perm)
+            hit = census9.lookup(relabelled)
+            assert hit is not None and hit[0] is entry
+            mapping = hit[1]
+            assert sorted(mapping.values()) == list(range(entry.order))
+            assert sorted(tuple(sorted((mapping[u], mapping[v]))) for u, v in relabelled.edges()) == entry.graph.edges()
+
+
+def test_lookup_hits_exactly_the_graphs_networkx_finds_isomorphic(census9):
+    nx = pytest.importorskip("networkx")
+
+    def nx_graph(g: Graph):
+        h = nx.Graph(g.edges())
+        h.add_nodes_from(range(g.order))
+        return h
+
+    graphs = _non_minimal_blocks()
+    rng = random.Random(50)
+    graphs += [random_connected_graph(rng, rng.randint(3, 9)) for _ in range(50)]
+    graphs += [cycle_graph(7), theta_graph([2, 2, 1]), _non_theta_block_of_order_7()]
+    hits = 0
+    for g in graphs:
+        same = [e for e in census9.entries if e.order == g.order and nx.is_isomorphic(nx_graph(g), nx_graph(e.graph))]
+        hit = census9.lookup(g)
+        assert (hit[0] if hit else None) == (same[0] if same else None), g.edges()
+        hits += hit is not None
+    assert hits >= 3

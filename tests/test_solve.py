@@ -182,10 +182,10 @@ def _prune_cuts(g: Graph, monkeypatch) -> list[tuple[int, tuple[int, ...]]]:
     nodes: list[tuple[list[int], int]] = []
     real_walk, real_passes = solve_module._walk, solve_module.partition_passes
 
-    def walk(g, n, rows, memo, masks, v, used, check_from):
+    def walk(g, n, full, rows, memo, masks, v, used, check_from):
         nodes.append((list(masks), v))
         try:
-            return real_walk(g, n, rows, memo, masks, v, used, check_from)
+            return real_walk(g, n, full, rows, memo, masks, v, used, check_from)
         finally:
             nodes.pop()
 
@@ -302,7 +302,11 @@ def test_closed_forms():
     for spec in ([2, 2, 1], [2, 2, 1, 1]):  # two even threads: below the k-path bound of the hubs
         res = mvd_closed_form(theta_graph(spec))
         assert res is not None and res.value == 2 and res.method == "closed-form", spec
-    for g in (theta_graph([2, 1, 0]), chorded, wheel, bowtie):
+    # disconnected: two squares, K2,3 beside a square, a triangle beside a vertex
+    apart = [Graph.from_edges(default_labels(8), [(i, (i + 1) % 4) for i in range(4)] + [(4 + i, 4 + (i + 1) % 4) for i in range(4)])]
+    apart.append(Graph.from_edges(default_labels(9), theta_graph([1, 1, 1]).edges() + [(5, 6), (6, 7), (7, 8), (8, 5)]))
+    apart.append(Graph.from_edges(default_labels(4), [(0, 1), (1, 2), (2, 0)]))
+    for g in (theta_graph([2, 1, 0]), chorded, wheel, bowtie, *apart):
         assert mvd_closed_form(g) is None
 
 
