@@ -14,7 +14,7 @@ from typing import Optional
 
 from .blocks import BlockDecomposition, decompose, is_minimally_two_connected
 from .catalog import Catalog
-from .graph import Graph, induced_subgraph, is_connected, theta_threads, triangle_free
+from .graph import Graph, induced_subgraph, theta_threads, triangle_free
 from .iso import CANONICAL_MAX_ORDER, canonical_form
 from .solve import mvd_via_blocks
 
@@ -68,9 +68,10 @@ def _gate(dec: BlockDecomposition) -> Optional[tuple[str, ...]]:
 
 def bound_blocks(g: Graph) -> BoundReport:
     """floor((n + 2t - r + 1)/2) bound from the block counts r and t."""
-    if not is_connected(g) or g.order < 2:
+    try:
+        dec = decompose(g)
+    except ValueError:  # the search refuses order < 2 and disconnected graphs
         return BoundReport("block-formula", False, "needs a connected graph of order >= 2", None)
-    dec = decompose(g)
     offending = _gate(dec)
     if offending is not None:
         return BoundReport(
@@ -94,11 +95,9 @@ _DEFICIT = {
 _FAMILY = {0: "tree", 2: "unicyclic-C4", 3: "class-A", 4: "class-B", 5: "class-C"}
 
 
-def nontrivial_core(g: Graph, dec: Optional[BlockDecomposition] = None) -> Optional[Graph]:
+def nontrivial_core(g: Graph) -> Optional[Graph]:
     """Subgraph induced by the union of all nontrivial blocks, None for trees."""
-    if dec is None:
-        dec = decompose(g)
-    vertices = sorted({v for b in dec.blocks if not b.trivial for v in b.vertices})
+    vertices = sorted({v for b in decompose(g).blocks if not b.trivial for v in b.vertices})
     if not vertices:
         return None
     return induced_subgraph(g, vertices)
@@ -116,9 +115,10 @@ def classify(g: Graph, catalog: Optional[Catalog] = None) -> ClassificationResul
     for the n-5 regime have no text-recoverable member list, so that regime
     reports family class-C with the computed core.
     """
-    if g.order < 2 or not is_connected(g):
-        raise ValueError("classification needs a connected graph of order >= 2")
-    dec = decompose(g)
+    try:
+        dec = decompose(g)
+    except ValueError:  # the search refuses order < 2 and disconnected graphs
+        raise ValueError("classification needs a connected graph of order >= 2") from None
     offending = _gate(dec)
     if offending is not None:
         raise GateError(
@@ -136,7 +136,7 @@ def classify(g: Graph, catalog: Optional[Catalog] = None) -> ClassificationResul
     if None not in deficits and sum(deficits) != code:
         raise AssertionError(f"block deficits {deficits} sum to n-{sum(deficits)}, solver says n-{code}")
     family = _FAMILY.get(code, "unclassified")
-    core = nontrivial_core(g, dec)
+    core = nontrivial_core(g)
     core_key = canonical_form(core) if core is not None and core.order <= CANONICAL_MAX_ORDER else None
     return ClassificationResult(True, n, value, regime, family, core, core_key)
 

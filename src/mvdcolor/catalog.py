@@ -146,7 +146,7 @@ class Catalog:
 
     entries: list[CatalogEntry] = field(default_factory=list)
     _by_canon: dict[tuple, tuple[CatalogEntry, list[int]]] = field(default_factory=dict, repr=False)
-    _degrees: set[tuple[int, ...]] = field(default_factory=set, repr=False)
+    _edge_degree_keys: set[tuple[tuple[int, int], ...]] = field(default_factory=set, repr=False)
 
     def add(self, entry: CatalogEntry) -> None:
         self._certify(entry)
@@ -176,13 +176,13 @@ class Catalog:
                 f"entry {entry.id!r} is isomorphic to existing entry {self._by_canon[found.relabelled][0].id!r}"
             )
         self._by_canon[found.relabelled] = (entry, found.order)
-        self._degrees.add(_degree_sequence(entry.graph))
+        self._edge_degree_keys.add(_edge_degrees(entry.graph))
         self.entries.append(entry)
 
     def lookup(self, g: Graph) -> Optional[tuple[CatalogEntry, dict[int, int]]]:
         """The entry isomorphic to g and a vertex map onto it, else None; a graph
-        whose degree sequence no entry shares misses with no canonical search."""
-        if _degree_sequence(g) not in self._degrees:
+        whose edges' end degrees no entry shares misses with no canonical search."""
+        if _edge_degrees(g) not in self._edge_degree_keys:
             return None
         found = canonical_labelling(g)
         entry, entry_order = self._by_canon.get(found.relabelled, (None, []))
@@ -195,8 +195,9 @@ class Catalog:
         return len(self.entries)
 
 
-def _degree_sequence(g: Graph) -> tuple[int, ...]:
-    return tuple(sorted(map(len, g.neighbors)))
+def _edge_degrees(g: Graph) -> tuple[tuple[int, int], ...]:
+    deg = [len(nb) for nb in g.neighbors]
+    return tuple(sorted((min(deg[u], deg[v]), max(deg[u], deg[v])) for u, v in g.edges()))
 
 
 def build_catalog(max_order: int) -> Catalog:

@@ -1,5 +1,5 @@
-"""Command-line front end: decompose, solve, verify, iso, catalog, classify,
-bound, and DOT export as reproducible batch subcommands.
+"""Command-line front end: decompose, solve (blocks only), verify, iso, catalog,
+classify, bound, and DOT export as reproducible batch subcommands.
 
 Exit codes: 0 success, 1 negative verdict (verification FAIL, not isomorphic),
 2 input error (bad input, or a path that cannot be read or written), 3
@@ -30,7 +30,7 @@ from .graph import (
     to_dot,
 )
 from .iso import find_isomorphism
-from .solve import MvdResult, mvd_exact, solve_auto
+from .solve import solve_auto
 from .verify import is_mvd_coloring
 
 EXIT_OK = 0
@@ -99,26 +99,17 @@ def _cmd_decompose(args) -> tuple[list[str], dict, int]:
     return lines, report, EXIT_OK
 
 
-def _solve_result(g: Graph, method: str, catalog_dir: Optional[str]) -> MvdResult:
-    if method == "exact":  # reads no catalog, so only the block path loads one
-        return mvd_exact(g)
-    return solve_auto(g, load_catalog(catalog_dir) if catalog_dir else None)
-
-
 def _cmd_solve(args) -> tuple[list[str], dict, int]:
     g, _ = load_graph(args.graph)
-    # The solvers return only verified colorings: the block pipeline checks each
-    # block once while stitching, and the exact search keeps only a partition
-    # that passes.  "self_check" reports that.
-    result = _solve_result(g, args.method, args.catalog)
+    # the block pipeline verifies each block once while stitching: "self_check" reports that
+    result = solve_auto(g, load_catalog(args.catalog) if args.catalog else None)
     coloring = result.coloring if args.preserve_colors else renumber_colors(g, result.coloring)
     lines = [_digest_line(g), f"mvd = {result.value}", f"method: {result.method}"]
     report_blocks = []
-    if result.decomposition is not None:
-        for i, (block, how) in enumerate(zip(result.decomposition.blocks, result.block_methods), start=1):
-            labels = sorted(block.graph.labels)
-            lines.append(f"block {i} {{{', '.join(labels)}}}: {how}")
-            report_blocks.append({"labels": labels, "method": how})
+    for i, (block, how) in enumerate(zip(decompose(g).blocks, result.block_methods), start=1):
+        labels = sorted(block.graph.labels)
+        lines.append(f"block {i} {{{', '.join(labels)}}}: {how}")
+        report_blocks.append({"labels": labels, "method": how})
     lines.append("coloring:")
     color_lines = [f"{g.labels[v]}:{coloring[v]}" for v in sorted(range(g.order), key=lambda v: g.labels[v])]
     lines.extend(color_lines)
@@ -260,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="compute the disconnection number and a coloring")
     p.add_argument("graph")
-    p.add_argument("--method", choices=["exact", "blocks", "auto"], default="auto")
     p.add_argument("--catalog", metavar="DIR")
     p.add_argument("--emit-dot", metavar="PATH")
     p.add_argument("--preserve-colors", action="store_true")

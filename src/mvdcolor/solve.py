@@ -11,10 +11,10 @@ descent from the order, where a first success at k proves the value is k.
 Closed forms cover complete graphs and every theta graph, a cycle being the
 theta with two threads; the theta colouring's count is proved optimal (see
 ``_theta_coloring``).
-Block-composed solving decomposes the graph, solves each block by trivial,
-closed form, catalog lookup or exact search, stitches the per-block colorings
-across cut vertices in reverse decomposition order, and composes the value
-as ``sum of block values - r + 1``.
+Block-composed solving, the only path of ``mvdcolor solve``, decomposes the
+graph, solves each block by trivial, closed form, catalog lookup or exact
+search, stitches the per-block colorings across cut vertices in reverse
+decomposition order, and composes the value as ``sum of block values - r + 1``.
 """
 
 from __future__ import annotations
@@ -41,15 +41,14 @@ class MvdResult:
     ``method`` is ``exact``, ``closed-form`` or ``block-composed`` on
     top-level results; ``solve_block``'s results carry the trail entry
     instead (``trivial``, ``catalog:<id>``, ``closed-form`` or ``exact``).
-    ``block_methods`` carries the per-block trail and ``decomposition`` the
-    blocks it refers to when the block pipeline produced the result.
+    ``block_methods`` carries the per-block trail when the block pipeline
+    produced the result, in the order of ``decompose(g).blocks``.
     """
 
     value: int
     coloring: dict[int, int]
     method: str
     block_methods: tuple[str, ...] = field(default=(), compare=False)
-    decomposition: Optional[BlockDecomposition] = field(default=None, compare=False, repr=False)
 
 
 def _walk(
@@ -137,7 +136,8 @@ def mvd_exact(g: Graph) -> MvdResult:
     if n < 2:
         raise ValueError("mvd is defined for graphs of order >= 2")
     if n > MAX_EXACT_ORDER:
-        raise GuardError(f"exact search limited to order {MAX_EXACT_ORDER}, got {n}")
+        first = ", ".join(sorted(g.labels)[:3])
+        raise GuardError(f"block {{{first}, ...}} has order {n}: beyond the exact-solver guard ({MAX_EXACT_ORDER})")
     if not is_connected(g):
         raise ValueError("mvd is defined for connected graphs")
     rows, full = pair_rows(g), g.full_mask()
@@ -319,12 +319,6 @@ def solve_block(block: Block, catalog: Optional[Catalog]) -> MvdResult:
         if hit is not None:
             entry, mapping = hit
             return MvdResult(entry.mvd_value, transfer_coloring(mapping, entry.coloring), f"catalog:{entry.id}")
-    if bg.order > MAX_EXACT_ORDER:
-        first = ", ".join(sorted(bg.labels)[:3])
-        raise GuardError(
-            f"block {{{first}, ...}} has order {bg.order}: beyond the exact-solver guard "
-            f"({MAX_EXACT_ORDER}) with no catalog or closed-form match"
-        )
     return mvd_exact(bg)
 
 
@@ -347,7 +341,7 @@ def mvd_via_blocks(g: Graph, catalog: Optional[Catalog] = None) -> MvdResult:
     if color_count(coloring) != value:
         raise AssertionError("stitched coloring does not use the composed number of colors")
     trail = tuple(res.method for res in solved)
-    return MvdResult(value, coloring, "block-composed", block_methods=trail, decomposition=dec)
+    return MvdResult(value, coloring, "block-composed", block_methods=trail)
 
 
 # Thetas, cycles among them, and complete graphs are single blocks that

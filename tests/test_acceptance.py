@@ -87,7 +87,7 @@ def test_criterion_3_worked_example_end_to_end(tmp_path):
 
     proc = subprocess.run(
         [sys.executable, "-m", "mvdcolor", "solve", str(DATA / "example17.txt"),
-         "--method", "blocks", "--catalog", str(DATA / "typeset9")],
+         "--catalog", str(DATA / "typeset9")],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0

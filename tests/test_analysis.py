@@ -161,6 +161,23 @@ def test_classify_rejects_disconnected():
         classify(Graph.from_edges(["a", "b", "c", "d"], [(0, 1), (2, 3)]))
 
 
+def test_classify_and_bound_test_connectivity_only_in_the_block_search(data_dir, monkeypatch):
+    import mvdcolor.graph as graph_module
+    from mvdcolor.catalog import load_catalog
+    from mvdcolor.graph import load_graph
+
+    g, _ = load_graph(str(data_dir / "example17.txt"))
+    catalog = load_catalog(str(data_dir / "typeset9"))  # no exact search, which tests connectivity apart
+    monkeypatch.setattr(graph_module, "_reach_mask", lambda *a: pytest.fail("separate connectivity test"))
+    assert classify(g, catalog).mvd == 3
+    assert bound_blocks(g).applicable
+    for refused in (Graph.from_edges(["a", "b", "c", "d"], [(0, 1), (2, 3)]), Graph(("a",), ((),))):
+        with pytest.raises(ValueError, match="classification needs a connected graph of order >= 2"):
+            classify(refused)
+        report = bound_blocks(refused)
+        assert not report.applicable and report.reason == "needs a connected graph of order >= 2"
+
+
 def test_triangle_blocks_value():
     two = glue_at_vertex(cycle_graph(3), cycle_graph(3))
     assert triangle_blocks_value(two) == 5

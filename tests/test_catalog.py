@@ -456,6 +456,17 @@ def test_lookup_misses_an_unmatched_degree_sequence_without_a_search(monkeypatch
         assert census9.lookup(g) is None, g.edges()
 
 
+def test_lookup_misses_matched_degrees_on_unmatched_edge_ends_without_a_search(monkeypatch, census9):
+    # thetas with adjacent hubs share a census block's degree sequence, but
+    # not its multiset of edge end degrees
+    thetas = [_with_hub_edge(spec) for spec in ([2, 2], [3, 2], [3, 3])]
+    census_degrees = {tuple(sorted(map(len, e.graph.neighbors))) for e in census9.entries}
+    assert all(tuple(sorted(map(len, g.neighbors))) in census_degrees for g in thetas)
+    _no_canonical_search(monkeypatch)
+    for g in thetas:
+        assert census9.lookup(g) is None, g.edges()
+
+
 def test_lookup_hits_every_census_block_to_order_9_under_relabelling(census9):
     rng = random.Random(99)
     for entry in census9.entries:

@@ -48,19 +48,12 @@ def test_decompose_rejects_disconnected(tmp_path):
 def test_solve_worked_example_with_catalog(data_dir):
     proc = run_cli(
         "solve", str(data_dir / "example17.txt"),
-        "--method", "blocks", "--catalog", str(data_dir / "typeset9"),
+        "--catalog", str(data_dir / "typeset9"),
     )
     assert proc.returncode == 0
     assert "mvd = 3" in proc.stdout
     assert "catalog:graph_9Vertex-11" in proc.stdout
     assert "catalog:graph_9Vertex-9" in proc.stdout
-
-
-def test_solve_exact_cycle(c9_file):
-    proc = run_cli("solve", c9_file, "--method", "exact")
-    assert proc.returncode == 0
-    assert "mvd = 4" in proc.stdout
-    assert "method: exact" in proc.stdout
 
 
 def test_solve_tree(tmp_path):
@@ -77,7 +70,7 @@ def test_solve_tree(tmp_path):
 def test_solve_output_feeds_verify(data_dir, tmp_path):
     proc = run_cli(
         "solve", str(data_dir / "example17.txt"),
-        "--method", "blocks", "--catalog", str(data_dir / "typeset9"),
+        "--catalog", str(data_dir / "typeset9"),
     )
     assert proc.returncode == 0
     color_lines = [
@@ -324,7 +317,7 @@ def test_solve_guard_exit_code(tmp_path):
     theta = theta_graph([2, 2, 1, 1, 1, 1, 1, 1])
     big = tmp_path / "big.txt"
     big.write_text(format_matrix(Graph.from_edges(theta.labels, theta.edges() + [(2, 5)])))  # order 12, no theta
-    proc = run_cli("solve", str(big), "--method", "blocks")
+    proc = run_cli("solve", str(big))
     assert proc.returncode == 3
     assert "guard" in proc.stderr
 
@@ -370,11 +363,11 @@ def test_json_reports(data_dir):
 def test_preserve_colors(data_dir):
     renumbered = run_cli(
         "solve", str(data_dir / "example17.txt"),
-        "--method", "blocks", "--catalog", str(data_dir / "typeset9"), "--json",
+        "--catalog", str(data_dir / "typeset9"), "--json",
     )
     preserved = run_cli(
         "solve", str(data_dir / "example17.txt"),
-        "--method", "blocks", "--catalog", str(data_dir / "typeset9"),
+        "--catalog", str(data_dir / "typeset9"),
         "--preserve-colors", "--json",
     )
     ren = json.loads(renumbered.stdout)["coloring"]
@@ -395,7 +388,7 @@ def main_out(capsys, *args: str) -> str:
     return capsys.readouterr().out
 
 
-def test_solve_verifies_each_block_once(data_dir, c9_file, capsys, monkeypatch):
+def test_solve_verifies_each_block_once(data_dir, capsys, monkeypatch):
     import mvdcolor.verify as verify
     from mvdcolor.blocks import decompose
     from mvdcolor.graph import load_graph
@@ -406,9 +399,6 @@ def test_solve_verifies_each_block_once(data_dir, c9_file, capsys, monkeypatch):
     example = str(data_dir / "example17.txt")
     main_out(capsys, "solve", example)
     assert len(calls) == decompose(load_graph(example)[0]).r == 2
-    calls.clear()
-    main_out(capsys, "solve", c9_file, "--method", "exact")
-    assert calls == []
 
 
 def test_solve_skips_the_verifier_on_trivial_blocks(tmp_path, capsys, monkeypatch):
@@ -435,19 +425,6 @@ def test_solve_skips_the_verifier_on_trivial_blocks(tmp_path, capsys, monkeypatc
     nontrivial = [b.graph.order for b in decompose(glued).blocks if not b.trivial]
     assert 0 < len(nontrivial) < decompose(glued).r
     assert sorted(calls) == sorted(nontrivial)
-
-
-def test_exact_solve_loads_no_catalog(data_dir, c9_file, capsys, monkeypatch):
-    import mvdcolor.cli as cli
-
-    calls = []
-    real = cli.load_catalog
-    monkeypatch.setattr(cli, "load_catalog", lambda d: calls.append(d) or real(d))
-    catalog = str(data_dir / "typeset9")
-    main_out(capsys, "solve", c9_file, "--method", "exact", "--catalog", catalog)
-    assert calls == []
-    main_out(capsys, "solve", c9_file, "--method", "blocks", "--catalog", catalog)
-    assert calls == [catalog]
 
 
 @pytest.fixture()
@@ -479,20 +456,6 @@ def test_solve_whole_graph_families_go_through_blocks(family_files, capsys):
         assert len(set(coloring.values())) == report["mvd"]
 
 
-def test_solve_auto_and_blocks_print_identical_reports(data_dir, family_files, capsys):
-    example = str(data_dir / "example17.txt")
-    runs = [(example,), (example, "--catalog", str(data_dir / "typeset9"))]
-    runs += [(str(path),) for path in family_files.values()]
-    for run in runs:
-        for extra in ((), ("--json",)):
-            auto = main_out(capsys, "solve", *run, "--method", "auto", *extra)
-            blocks = main_out(capsys, "solve", *run, "--method", "blocks", *extra)
-            if extra:
-                auto, blocks = json.loads(auto), json.loads(blocks)
-                del auto["command"], blocks["command"]
-            assert auto == blocks
-
-
 def test_main_calls_share_no_parser_state(data_dir, c9_file, capsys, monkeypatch):
     import mvdcolor.cli as cli
 
@@ -508,16 +471,16 @@ def test_main_calls_share_no_parser_state(data_dir, c9_file, capsys, monkeypatch
         assert (code, out) == (fresh.returncode, fresh.stdout), argv
         return out
 
-    bad = ["solve", c9_file, "--catalog", catalog, "--method", "nope"]
+    bad = ["catalog", "build", "--max-order", "nope", "--out", catalog]
     with pytest.raises(SystemExit) as exc:
         cli.main(bad)
     assert exc.value.code == 2
     assert capsys.readouterr().err == run_cli(*bad).stderr
     same_as_fresh_process("solve", c9_file)
-    same_as_fresh_process("solve", c9_file, "--method", "exact", "--catalog", catalog, "--json")
+    same_as_fresh_process("solve", c9_file, "--catalog", catalog, "--json")
     plain = same_as_fresh_process("solve", c9_file)
     assert "method: block-composed" in plain and "closed-form" in plain
-    assert calls == []
+    assert calls == [catalog]
 
 
 def test_catalog_build_over_a_larger_build_exits_2(tmp_path, capsys):

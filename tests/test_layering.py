@@ -49,6 +49,15 @@ def test_solver_does_not_import_the_catalog_at_run_time():
     assert "catalog" not in graph["solve"]
 
 
+def test_cli_solves_through_the_block_pipeline_only():
+    # ``solve`` has one path: no whole-graph solver is imported or reached by attribute
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "solve_auto" in names
+    assert not names & {"mvd_exact", "mvd_closed_form"}
+
+
 def test_block_search_is_private_to_blocks():
     users = sorted(p.name for p in SRC.glob("*.py") if "_dfs_engine" in p.read_text(encoding="utf-8"))
     assert users == ["blocks.py"]

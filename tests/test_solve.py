@@ -66,8 +66,11 @@ def test_exact_small_values():
 
 
 def test_exact_guards():
-    with pytest.raises(GuardError):
+    with pytest.raises(GuardError) as err:
         mvd_exact(cycle_graph(12))
+    message = str(err.value)
+    assert message.startswith("block {a, b, c, ...}") and "order 12" in message and "guard" in message
+    assert len(message) < 160, message
     with pytest.raises(ValueError):
         mvd_exact(Graph.from_edges(["a", "b", "c", "d"], [(0, 1), (2, 3)]))
     with pytest.raises(ValueError):
@@ -594,7 +597,7 @@ def test_block_solve_scales_to_long_paths_and_cacti():
         )
         print(line)
         assert res.value == want
-        for block in res.decomposition.blocks:
+        for block in decompose(g).blocks:
             assert is_mvd_coloring(block.graph, {i: res.coloring[v] for i, v in enumerate(block.vertices)}).ok
         if g.order < 1000:  # whole-graph verification builds one O(n) class view per colour: n of them here
             assert is_mvd_coloring(g, res.coloring).ok
