@@ -33,7 +33,6 @@ from .graph import (
     cycle_graph,
     format_matrix,
     induced_subgraph,
-    is_connected,
     load_graph,
     parse_matrix,
     path_graph,
@@ -78,7 +77,6 @@ __all__ = [
     "find_isomorphism",
     "format_matrix",
     "induced_subgraph",
-    "is_connected",
     "is_minimally_two_connected",
     "is_mvd_coloring",
     "load_catalog",

@@ -1,12 +1,12 @@
 """Block decomposition and minimal 2-connectivity by iterative low-link DFS.
 
-One search serves all three: ``decompose`` and ``is_two_connected`` run it
-once, and ``is_minimally_two_connected`` reruns it without each edge whose
-removal is in doubt.  The search explores from vertex 0 with neighbors in
-ascending index order, so blocks and cut vertices come out
-deterministically.  Blocks are emitted with vertices in stack pop order
-followed by the articulation parent; the search uses an explicit stack and
-survives long paths that would overflow recursion.
+One search decides every connectivity question in the package: ``decompose``
+runs it once per graph, and ``is_minimally_two_connected`` runs it once, then
+again without each edge whose removal is in doubt.  The search explores from
+vertex 0 with neighbors in ascending index order, so blocks and cut vertices
+come out deterministically.  Blocks are emitted with vertices in stack pop
+order followed by the articulation parent; the search uses an explicit stack
+and survives long paths that would overflow recursion.
 """
 
 from __future__ import annotations
@@ -111,25 +111,21 @@ def _dfs_engine(neighbors: Sequence[Sequence[int]], root: int) -> tuple[list[lis
     return blocks, cuts
 
 
-def is_two_connected(g: Graph) -> bool:
-    """Order >= 3 and no cut vertex: the block search finds one block
-    covering all of g's vertices."""
-    if g.order < 3:
-        return False
-    blocks, _ = _dfs_engine(g.neighbors, root=0)
-    return len(blocks) == 1 and len(blocks[0]) == g.order
-
-
 def is_minimally_two_connected(g: Graph) -> bool:
     """2-connected, and every single edge removal destroys 2-connectivity.
 
-    Dropping an edge leaves a 2-connected graph connected, so the edge is
-    needed iff the block search then finds more than one block.  An edge with
-    an end of degree 2 is always needed: without it, that end's one remaining
-    neighbour is a cut vertex.  So the search reruns only for edges between
-    vertices of degree >= 3, and a cycle takes one search.
+    g is 2-connected when it has order >= 3 and the block search finds one
+    block covering all its vertices.  Dropping an edge leaves a 2-connected
+    graph connected, so the edge is needed iff the block search then finds
+    more than one block.  An edge with an end of degree 2 is always needed:
+    without it, that end's one remaining neighbour is a cut vertex.  So the
+    search reruns only for edges between vertices of degree >= 3, and a cycle
+    takes one search.
     """
-    if not is_two_connected(g):
+    if g.order < 3:
+        return False
+    blocks, _ = _dfs_engine(g.neighbors, root=0)
+    if len(blocks) != 1 or len(blocks[0]) != g.order:
         return False
     neighbors = list(g.neighbors)
     for u, v in g.edges():

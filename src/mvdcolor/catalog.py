@@ -28,7 +28,7 @@ from .blocks import is_minimally_two_connected
 from .graph import Graph, cycle_graph, default_labels, format_matrix, parse_matrix
 from .iso import Labelling, canonical_labelling
 from .solve import mvd_closed_form, mvd_exact
-from .verify import _failing_pair, _require_verifiable, color_count
+from .verify import color_count, is_mvd_coloring
 
 GENERATION_MIN_ORDER = 3
 GENERATION_MAX_ORDER = 10
@@ -138,10 +138,11 @@ class Catalog:
     """Entries indexed by their canonically relabelled graphs.
 
     ``add`` is the only public way in: it certifies the entry's coloring
-    (``_certify``), labels its graph and indexes it (``_index``), so every
-    coloring passes and no two entries are isomorphic.  ``build_catalog``
-    runs the same two steps but indexes with the labelling that census
-    generation already computed, so no block is labelled twice.
+    (``_certify``, by ``is_mvd_coloring``, which refuses a disconnected
+    graph), labels its graph and indexes it (``_index``), so every coloring
+    passes and no two entries are isomorphic.  ``build_catalog`` runs the
+    same two steps but indexes with the labelling that census generation
+    already computed, so no block is labelled twice.
     """
 
     entries: list[CatalogEntry] = field(default_factory=list)
@@ -157,12 +158,11 @@ class Catalog:
         """CatalogError unless the entry's id is free to save and its coloring passes."""
         if f"{entry.id}.txt" == CENSUS_FILE:
             raise CatalogError(f"entry id {entry.id!r} would be saved over the census file")
-        g, coloring = entry.graph, entry.coloring
+        g = entry.graph
         try:
-            _require_verifiable(g, coloring)
+            witness = is_mvd_coloring(g, entry.coloring).witness
         except ValueError as exc:
             raise CatalogError(f"entry {entry.id!r}: {exc}") from exc
-        witness = _failing_pair(g, [coloring[v] for v in range(g.order)])
         if witness is not None:
             x, y = witness
             raise CatalogError(

@@ -31,7 +31,7 @@ from .graph import (
 )
 from .iso import find_isomorphism
 from .solve import solve_auto
-from .verify import is_mvd_coloring
+from .verify import _require_total, is_mvd_coloring
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -228,6 +228,8 @@ def _cmd_bound(args) -> tuple[list[str], dict, int]:
 def _cmd_export_dot(args) -> tuple[list[str], dict, int]:
     g, embedded = load_graph(args.graph)
     coloring = _load_coloring_file(args.coloring, g) if args.coloring else embedded
+    if coloring is not None:
+        _require_total(g, coloring)
     text = to_dot(g, coloring)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text)

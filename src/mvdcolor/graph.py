@@ -1,4 +1,4 @@
-"""Immutable labeled simple graphs, file formats, and connectivity primitives.
+"""Immutable labeled simple graphs, file formats, and structural tests.
 
 Vertices are 0-based indices; labels are presentation-only and unique within
 a graph.  All operations are pure and graphs may be shared freely.
@@ -138,31 +138,6 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _reach_mask(g: Graph, start: int, allowed: int) -> int:
-    """Bitmask of vertices reachable from start inside the allowed set."""
-    if not (allowed >> start) & 1:
-        return 0
-    seen = frontier = 1 << start
-    masks = g.adj_masks
-    while frontier:
-        nxt = 0
-        f = frontier
-        while f:
-            low = f & -f
-            nxt |= masks[low.bit_length() - 1]
-            f ^= low
-        frontier = nxt & allowed & ~seen
-        seen |= frontier
-    return seen
-
-
-def is_connected(g: Graph) -> bool:
-    """True iff every vertex is reachable from vertex 0 (empty graph: True)."""
-    if g.order == 0:
-        return True
-    return _reach_mask(g, 0, g.full_mask()) == g.full_mask()
 
 
 def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:

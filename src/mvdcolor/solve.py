@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from . import verify
-from .blocks import Block, BlockDecomposition, decompose, is_two_connected
-from .graph import Graph, GuardError, _bits, is_complete, is_connected, theta_threads, triangle_free
+from .blocks import Block, BlockDecomposition, decompose
+from .graph import Graph, GuardError, _bits, is_complete, theta_threads, triangle_free
 from .iso import transfer_coloring
 from .verify import _require_total, color_count, pair_rows, partition_passes
 
@@ -102,7 +102,9 @@ def mvd_exact(g: Graph) -> MvdResult:
     For a class count k, one walk colours the vertices in turn in
     restricted-growth order (classes numbered by first appearance, exactly k
     of them, lexicographic), keeps one bitmask per class, and checks each
-    full assignment.  Guarded to order 11 (Bell-number search).
+    full assignment.  Guarded to order 11 (Bell-number search).  One
+    ``decompose`` call decides connectivity: it refuses a disconnected input,
+    and a connected input of order >= 3 is 2-connected iff it is one block.
 
     On a 2-connected triangle-free input of order >= 4 the search ascends:
     k = 2, 3, ... up to floor(n/2), stopping at the first level that fails,
@@ -138,11 +140,13 @@ def mvd_exact(g: Graph) -> MvdResult:
     if n > MAX_EXACT_ORDER:
         first = ", ".join(sorted(g.labels)[:3])
         raise GuardError(f"block {{{first}, ...}} has order {n}: beyond the exact-solver guard ({MAX_EXACT_ORDER})")
-    if not is_connected(g):
-        raise ValueError("mvd is defined for connected graphs")
+    try:
+        dec = decompose(g)
+    except ValueError:  # g has order >= 2, so it is not connected
+        raise ValueError("mvd is defined for connected graphs") from None
     rows, full = pair_rows(g), g.full_mask()
     memo: dict[int, list[int]] = {}
-    if n >= 4 and triangle_free(g) and is_two_connected(g):
+    if n >= 4 and dec.r == 1 and triangle_free(g):
         found = [full]  # the single class always passes
         for k in range(2, n // 2 + 1):
             masks = [1] + [0] * (k - 1)  # vertex 0 opens class 1

@@ -30,7 +30,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .blocks import Block, BlockDecomposition, decompose
-from .graph import Graph, _bits, is_connected
+from .graph import Graph, _bits
 
 
 @dataclass(frozen=True)
@@ -62,14 +62,6 @@ def _require_total(g: Graph, coloring: Mapping[int, int]) -> None:
             raise ValueError(f"coloring mentions unknown vertex index {v}")
         if c < 1:
             raise ValueError(f"colors must be positive, got {c}")
-
-
-def _require_verifiable(g: Graph, coloring: Mapping[int, int]) -> None:
-    if g.order < 2:
-        raise ValueError("verification needs at least 2 vertices")
-    if not is_connected(g):
-        raise ValueError("verification needs a connected graph")
-    _require_total(g, coloring)
 
 
 def pair_rows(g: Graph) -> list[tuple[int, int]]:
@@ -136,12 +128,17 @@ def monochromatic_cut_exists(
     """
     if x == y:
         raise ValueError("need two distinct vertices")
+    for v in (x, y):
+        if not 0 <= v < g.order:
+            raise ValueError(f"vertex index {v} is outside 0..{g.order - 1}")
     if g.has_edge(x, y):
         raise ValueError(
             f"{g.labels[x]!r} and {g.labels[y]!r} are adjacent; no vertex cut can separate them"
         )
-    if not is_connected(g):
-        raise ValueError("monochromatic cuts are defined on connected graphs")
+    try:
+        decompose(g)
+    except ValueError:  # x and y are two vertices, so g is not connected
+        raise ValueError("monochromatic cuts are defined on connected graphs") from None
     _require_total(g, coloring)
     for color, class_mask in _classes(coloring[v] for v in range(g.order)):
         if not class_view(g, class_mask)[x] >> y & 1:

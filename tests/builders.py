@@ -7,7 +7,8 @@ import random
 from typing import Sequence
 
 from mvdcolor.catalog import generate_minimal_blocks_up_to
-from mvdcolor.graph import Graph, default_labels, is_connected
+from mvdcolor.graph import Graph, default_labels
+from oracles import components
 
 
 def random_connected_graph(rng: random.Random, n: int) -> Graph:
@@ -17,7 +18,7 @@ def random_connected_graph(rng: random.Random, n: int) -> Graph:
         p = rng.choice((0.25, 0.35, 0.5))
         edges = [e for e in pairs if rng.random() < p]
         g = Graph.from_edges(labels, edges)
-        if is_connected(g) and g.order >= 2:
+        if g.order >= 2 and len(components(g, set())) == 1:
             return g
 
 

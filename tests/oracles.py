@@ -21,7 +21,7 @@ import itertools
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from mvdcolor.blocks import decompose, is_minimally_two_connected
-from mvdcolor.graph import Graph, GraphFormatError, cycle_graph, default_labels, is_connected
+from mvdcolor.graph import Graph, GraphFormatError, cycle_graph, default_labels
 from mvdcolor.iso import Labelling, _relabelled, _twin_classes, canonical_form
 
 
@@ -175,7 +175,7 @@ def partitions_into_k_classes(n: int, k: int) -> Iterator[tuple[int, ...]]:
 
 def triangle_blocks_value(g: Graph) -> Optional[int]:
     """n when every nontrivial block is a triangle (vacuously for trees)."""
-    if g.order < 2 or not is_connected(g):
+    if g.order < 2 or len(components(g, set())) != 1:
         raise ValueError("needs a connected graph of order >= 2")
     dec = decompose(g)
     for block in dec.blocks:

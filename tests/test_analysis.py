@@ -162,18 +162,28 @@ def test_classify_rejects_disconnected():
 
 
 def test_classify_and_bound_test_connectivity_only_in_the_block_search(data_dir, monkeypatch):
-    import mvdcolor.graph as graph_module
+    import mvdcolor.blocks as blocks_module
     from mvdcolor.catalog import load_catalog
     from mvdcolor.graph import load_graph
 
+    catalog = load_catalog(str(data_dir / "typeset9"))
+    searches = []
+    real = blocks_module._dfs_engine
+    monkeypatch.setattr(blocks_module, "_dfs_engine", lambda neighbors, root: searches.append(neighbors) or real(neighbors, root))
     g, _ = load_graph(str(data_dir / "example17.txt"))
-    catalog = load_catalog(str(data_dir / "typeset9"))  # no exact search, which tests connectivity apart
-    monkeypatch.setattr(graph_module, "_reach_mask", lambda *a: pytest.fail("separate connectivity test"))
     assert classify(g, catalog).mvd == 3
-    assert bound_blocks(g).applicable
-    for refused in (Graph.from_edges(["a", "b", "c", "d"], [(0, 1), (2, 3)]), Graph(("a",), ((),))):
+    # one search spans g; the gate's minimality test runs the others on single blocks
+    assert [nb for nb in searches if len(nb) == g.order] == [g.neighbors]
+    fresh, _ = load_graph(str(data_dir / "example17.txt"))
+    searches.clear()
+    assert bound_blocks(fresh).applicable
+    assert [nb for nb in searches if len(nb) == fresh.order] == [fresh.neighbors]
+    apart = Graph.from_edges(["a", "b", "c", "d"], [(0, 1), (2, 3)])
+    for refused, runs in ((apart, [apart.neighbors]), (Graph(("a",), ((),)), [])):
+        searches.clear()
         with pytest.raises(ValueError, match="classification needs a connected graph of order >= 2"):
             classify(refused)
+        assert searches == runs  # the block search refuses a disconnected graph; order 1 needs no search
         report = bound_blocks(refused)
         assert not report.applicable and report.reason == "needs a connected graph of order >= 2"
 

@@ -186,8 +186,6 @@ def _count_block_searches(monkeypatch) -> list:
 
 
 def test_a_solve_and_its_verdict_share_one_decomposition(monkeypatch):
-    import mvdcolor.solve as solve_module
-    import mvdcolor.verify as verify_module
     from mvdcolor.catalog import build_catalog
     from mvdcolor.solve import mvd_via_blocks
     from mvdcolor.verify import is_mvd_coloring
@@ -197,12 +195,32 @@ def test_a_solve_and_its_verdict_share_one_decomposition(monkeypatch):
     templates = [bridge, *(g for n in (5, 7, 8) for g in census_graphs(8)[n])]
     g = attach_blocks(random.Random(3), templates, 12)
     searches = _count_block_searches(monkeypatch)
-    for module in (solve_module, verify_module):  # connectivity comes from the block search
-        monkeypatch.setattr(module, "is_connected", lambda g: pytest.fail("separate connectivity test"))
     result = mvd_via_blocks(g, cat)
     assert is_mvd_coloring(g, result.coloring).ok
     assert {how.split(":")[0] for how in result.block_methods} == {"trivial", "closed-form", "catalog"}
     assert searches == [g.neighbors]
+    # connectivity comes from that search: a disconnected graph is refused by one search each
+    apart = Graph.from_edges(["a", "b", "c", "d"], [(0, 1), (2, 3)])
+    searches.clear()
+    with pytest.raises(ValueError, match="mvd is defined for connected graphs"):
+        mvd_via_blocks(apart, cat)
+    with pytest.raises(ValueError, match="verification needs a connected graph"):
+        is_mvd_coloring(apart, {0: 1, 1: 1, 2: 1, 3: 1})
+    assert searches == [apart.neighbors, apart.neighbors]
+
+
+def test_the_exact_search_tests_connectivity_with_one_block_search(monkeypatch):
+    from mvdcolor.solve import mvd_exact
+
+    searches = _count_block_searches(monkeypatch)
+    k33 = Graph.from_edges(list("abcdef"), [(u, v) for u in range(3) for v in range(3, 6)])
+    assert mvd_exact(k33).value == 2
+    # the search is decompose's, kept on the graph: it decided connectivity and 2-connectivity at once
+    assert searches == [k33.neighbors] and "_decomposition" in vars(k33)
+    hung = Graph.from_edges(list("abcde"), [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4)])
+    searches.clear()
+    assert mvd_exact(hung).value == 3
+    assert searches == [hung.neighbors]
 
 
 def test_classify_decomposes_its_graph_once(data_dir, monkeypatch):
@@ -220,8 +238,8 @@ def test_classify_decomposes_its_graph_once(data_dir, monkeypatch):
 
 
 def test_connectivity_errors_keep_their_messages():
-    from mvdcolor.solve import mvd_via_blocks
-    from mvdcolor.verify import is_mvd_coloring
+    from mvdcolor.solve import mvd_exact, mvd_via_blocks
+    from mvdcolor.verify import is_mvd_coloring, monochromatic_cut_exists
 
     apart = Graph.from_edges(["a", "b", "c"], [(0, 1)])
     with pytest.raises(ValueError, match="block decomposition needs a connected graph"):
@@ -230,5 +248,9 @@ def test_connectivity_errors_keep_their_messages():
         is_mvd_coloring(apart, {0: 1, 1: 2, 2: 1})
     with pytest.raises(ValueError, match="mvd is defined for connected graphs"):
         mvd_via_blocks(apart)
+    with pytest.raises(ValueError, match="mvd is defined for connected graphs"):
+        mvd_exact(apart)
+    with pytest.raises(ValueError, match="monochromatic cuts are defined on connected graphs"):
+        monochromatic_cut_exists(apart, {0: 1, 1: 2, 2: 1}, 0, 2)
     with pytest.raises(ValueError, match="verification needs at least 2 vertices"):
         is_mvd_coloring(Graph(("a",), ((),)), {0: 1})

@@ -6,7 +6,7 @@ import random
 import pytest
 
 import mvdcolor.catalog as catalog_module
-from mvdcolor.blocks import Block, decompose, is_two_connected
+from mvdcolor.blocks import Block, decompose
 from mvdcolor.catalog import (
     Catalog,
     CatalogEntry,
@@ -31,7 +31,7 @@ from mvdcolor.graph import (
 from mvdcolor.iso import canonical_form, canonical_labelling, find_isomorphism
 from mvdcolor.solve import mvd_closed_form, mvd_exact, mvd_via_blocks, solve_block
 from builders import attach_blocks, census_graphs, generate_minimal_blocks, random_connected_graph
-from oracles import every_pair_minimal_blocks_up_to, graphs_of_order, oracle_is_minimally_two_connected
+from oracles import every_pair_minimal_blocks_up_to, graphs_of_order, oracle_is_minimally_two_connected, oracle_is_two_connected
 
 
 def keyset(graphs):
@@ -84,7 +84,7 @@ def test_generated_blocks_are_triangle_free_from_order_4():
     levels = census_graphs(10)
     blocks = [g for n in range(4, 11) for g in levels[n]]
     assert len(blocks) == 120
-    assert all(triangle_free(g) and is_two_connected(g) for g in blocks)
+    assert all(triangle_free(g) and oracle_is_two_connected(g) for g in blocks)
 
 
 def test_generation_matches_labeled_brute_force_up_to_6():

@@ -310,6 +310,18 @@ def test_export_dot_round_trip(tmp_path, data_dir):
     assert ids["A"] == "10" and ids["B"] == "1" and ids["H"] == "11"
 
 
+def test_export_dot_refuses_a_partial_coloring(tmp_path):
+    from mvdcolor.graph import format_matrix, path_graph
+
+    graph, coloring, out = tmp_path / "p3.txt", tmp_path / "partial.txt", tmp_path / "p3.dot"
+    graph.write_text(format_matrix(path_graph(3)))
+    coloring.write_text("a:1\nb:2\n")
+    proc = run_cli("export-dot", str(graph), "--coloring", str(coloring), "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr == "error: coloring misses vertices: c\n" and not proc.stdout
+    assert not out.exists()
+
+
 def test_solve_guard_exit_code(tmp_path):
     from mvdcolor.catalog import theta_graph
     from mvdcolor.graph import Graph, format_matrix

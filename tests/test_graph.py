@@ -12,13 +12,11 @@ from hypothesis import strategies as st
 from mvdcolor.graph import (
     Graph,
     GraphFormatError,
-    _reach_mask,
     complete_graph,
     cycle_graph,
     default_labels,
     format_matrix,
     induced_subgraph,
-    is_connected,
     load_graph,
     parse_coloring,
     parse_edge_list,
@@ -29,7 +27,7 @@ from mvdcolor.graph import (
 )
 from builders import format_edge_list
 from builders import random_connected_graph
-from oracles import oracle_separates, reference_parse_matrix
+from oracles import components, reference_parse_matrix
 
 C4_TEXT = """a, b, c, d
 0, 1, 0, 1
@@ -52,7 +50,7 @@ def test_parse_example17(data_dir):
     assert g.order == 17
     assert g.size == 23
     assert coloring is None
-    assert is_connected(g)
+    assert len(components(g, set())) == 1
 
 
 def test_parse_resource_with_colors(data_dir):
@@ -250,12 +248,6 @@ def test_edge_list_round_trips_any_whitespace_free_labels(labels, data):
     }
 
 
-def test_is_connected():
-    assert is_connected(cycle_graph(5))
-    two_edges = Graph.from_edges(["a", "b", "c", "d"], [(0, 1), (2, 3)])
-    assert not is_connected(two_edges)
-
-
 def test_induced_subgraph():
     c5 = cycle_graph(5)
     assert induced_subgraph(c5, range(5)) == c5
@@ -272,31 +264,6 @@ def test_induced_block_of_example(data_dir):
     chosen = [g.index_of(lab) for lab in "IMDOCLQBH"]
     sub = induced_subgraph(g, chosen)
     assert sub.order == 9 and sub.size == 11
-
-
-def _separated(g, cut, x, y):
-    """x and y lie in different components of g minus the cut."""
-    allowed = g.full_mask() & ~sum(1 << v for v in cut)
-    return not (_reach_mask(g, x, allowed) >> y) & 1
-
-
-def test_separates_examples():
-    c4 = cycle_graph(4)
-    assert _separated(c4, [1, 3], 0, 2)
-    assert not _separated(c4, [1], 0, 2)
-    assert not _separated(c4, [2], 0, 1)  # adjacent pair is never separated
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10**6), st.integers(min_value=3, max_value=7))
-def test_separates_matches_oracle_exhaustively(seed, n):
-    g = random_connected_graph(random.Random(seed), n)
-    for x in range(n):
-        for y in range(x + 1, n):
-            rest = [v for v in range(n) if v not in (x, y)]
-            for size in range(len(rest) + 1):
-                for cut in itertools.combinations(rest, size):
-                    assert _separated(g, cut, x, y) == oracle_separates(g, set(cut), x, y)
 
 
 def test_dot_round_trips_labels_and_classes():

@@ -63,6 +63,18 @@ def test_block_search_is_private_to_blocks():
     assert users == ["blocks.py"]
 
 
+def test_connectivity_has_one_search():
+    # connectivity is the block search's to decide; no second test may grow back beside it
+    defined = {
+        (path.name, node.name)
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    assert {name for _, name in defined} >= {"_dfs_engine", "decompose"}
+    assert not {pair for pair in defined if pair[1] in {"is_connected", "_reach_mask", "is_two_connected"}}
+
+
 def _self_calls(tree: ast.AST) -> set[str]:
     """Functions that call themselves by name, as ``f(...)`` or ``obj.f(...)``."""
     found: set[str] = set()

@@ -13,7 +13,6 @@ from mvdcolor.graph import (
     cycle_graph,
     default_labels,
     induced_subgraph,
-    is_connected,
     load_graph,
     parse_coloring,
     path_graph,
@@ -28,6 +27,7 @@ from mvdcolor.verify import (
 )
 from builders import attach_blocks, random_connected_graph, random_tree
 from oracles import (
+    components,
     oracle_is_mvd,
     oracle_least_cut_color,
     oracle_monochromatic_cut_colors,
@@ -58,6 +58,15 @@ def test_adjacent_pair_is_an_error():
     c4 = cycle_graph(4)
     with pytest.raises(ValueError, match="adjacent"):
         monochromatic_cut_exists(c4, {v: 1 for v in range(4)}, 0, 1)
+
+
+def test_vertex_indices_outside_the_graph_are_errors():
+    # -1 must not be read as the last vertex, nor 7 as a vertex no class holds;
+    # (0, -1) would otherwise pass as the adjacent pair a, e
+    c5 = cycle_graph(5)
+    for x, y, bad in ((-1, 1, -1), (0, 7, 7), (0, -1, -1)):
+        with pytest.raises(ValueError, match=f"^vertex index {bad} is outside 0..4$"):
+            monochromatic_cut_exists(c5, {v: 1 for v in range(5)}, x, y)
 
 
 def test_verdicts():
@@ -125,7 +134,7 @@ def test_restriction_of_passing_coloring_passes_on_connected_subgraphs():
             size = rng.randint(2, n)
             subset = sorted(rng.sample(range(n), size))
             sub = induced_subgraph(g, subset)
-            if not is_connected(sub):
+            if len(components(sub, set())) != 1:
                 continue
             local = {i: coloring[v] for i, v in enumerate(subset)}
             assert is_mvd_coloring(sub, local).ok
