@@ -13,8 +13,8 @@ try; generation returns that labelling beside each block.
 the theta with two threads) in closed form with ``solve.mvd_closed_form``
 and every other block with ``mvd_exact``.
 Every entry's coloring is certified before it is indexed, whether it comes
-through ``Catalog.add`` or from ``build_catalog``, so built and loaded
-entries are checked alike.
+through ``Catalog.add`` or from ``build_catalog``: it passes, and it is
+optimal (``add`` solves each entry; a built entry is solved to be made).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .blocks import is_minimally_two_connected
-from .graph import Graph, cycle_graph, default_labels, format_matrix, parse_matrix
+from .graph import Graph, GuardError, cycle_graph, default_labels, format_matrix, parse_matrix
 from .iso import Labelling, canonical_labelling
 from .solve import mvd_closed_form, mvd_exact
 from .verify import color_count, is_mvd_coloring
@@ -117,7 +117,7 @@ def generate_minimal_blocks_up_to(max_order: int) -> dict[int, list[tuple[Graph,
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """A graph with a coloring; ``Catalog.add`` certifies the coloring."""
+    """A graph with a coloring; ``Catalog.add`` certifies the coloring optimal."""
 
     id: str
     graph: Graph
@@ -129,7 +129,7 @@ class CatalogEntry:
 
     @property
     def mvd_value(self) -> int:
-        """The number of colors the coloring uses, the value it certifies."""
+        """The number of colors the coloring uses, certified as the graph's value."""
         return color_count(self.coloring)
 
 
@@ -139,10 +139,11 @@ class Catalog:
 
     ``add`` is the only public way in: it certifies the entry's coloring
     (``_certify``, by ``is_mvd_coloring``, which refuses a disconnected
-    graph), labels its graph and indexes it (``_index``), so every coloring
-    passes and no two entries are isomorphic.  ``build_catalog`` runs the
-    same two steps but indexes with the labelling that census generation
-    already computed, so no block is labelled twice.
+    graph), solves the graph and refuses fewer colors than its value, labels
+    the graph and indexes it (``_index``), so every coloring passes and is
+    optimal, and no two entries are isomorphic.  ``build_catalog`` solves
+    each entry to make it, so it runs only the certify and index steps,
+    indexing with the labelling that census generation already computed.
     """
 
     entries: list[CatalogEntry] = field(default_factory=list)
@@ -151,7 +152,14 @@ class Catalog:
 
     def add(self, entry: CatalogEntry) -> None:
         self._certify(entry)
-        self._index(entry, canonical_labelling(entry.graph))
+        g = entry.graph
+        try:
+            value = (mvd_closed_form(g) or mvd_exact(g)).value
+        except GuardError as exc:
+            raise CatalogError(f"entry {entry.id!r} cannot be certified optimal: {exc}") from exc
+        if entry.mvd_value < value:
+            raise CatalogError(f"entry {entry.id!r} is not optimal: color count {entry.mvd_value}, graph's value {value}")
+        self._index(entry, canonical_labelling(g))
 
     @staticmethod
     def _certify(entry: CatalogEntry) -> None:
@@ -237,8 +245,9 @@ def save_catalog(cat: Catalog, directory: str) -> list[str]:
 def load_catalog(directory: str) -> Catalog:
     """Read every entry file but the census and add it; errors name the file.
 
-    An entry's value is the number of colors its stored coloring uses.
-    Entries need not be minimal blocks; any graph with a passing coloring loads.
+    Each stored coloring is certified to pass and to use as many colors as
+    its graph's solved value, which is then the entry's value.  Entries need
+    not be minimal blocks; any graph with an optimal passing coloring loads.
     """
     cat = Catalog()
     names = sorted(f for f in os.listdir(directory) if f.endswith(".txt") and f != CENSUS_FILE)

@@ -1,13 +1,13 @@
 """Computing the disconnection number: exact search, closed forms, blocks.
 
-The exact solver walks the colourings of a class count k as
-restricted-growth strings: it colours one vertex at a time, keeps a bitmask
-per colour class, and checks each full assignment against those masks.  On
-a 2-connected triangle-free graph it ascends from k = 2 to floor(n/2), a
-ceiling that every such graph meets (see ``mvd_exact``), and cuts every
-branch whose classes, grown by the uncoloured vertices, already fail; the
-last passing level is the value.  Any other graph keeps the unpruned
-descent from the order, where a first success at k proves the value is k.
+The exact solver walks the colourings of a class count k as restricted-growth
+strings: it colours one vertex at a time, keeps a bitmask per colour class,
+and checks each full assignment.  On a 2-connected triangle-free graph it
+ascends from k = 2 to floor(n/2), a ceiling every such graph meets (see
+``mvd_exact``), and cuts every branch whose classes, grown by the uncoloured
+vertices, already fail; the last passing level is the value.  Any other graph
+keeps the unpruned descent from the order, where a first success at k proves
+the value is k.  A work budget, not an order bound, guards both.
 Closed forms cover complete graphs and every theta graph, a cycle being the
 theta with two threads; the theta colouring's count is proved optimal (see
 ``_theta_coloring``).
@@ -31,7 +31,7 @@ from .verify import _require_total, color_count, pair_rows, partition_passes
 if TYPE_CHECKING:
     from .catalog import Catalog
 
-MAX_EXACT_ORDER = 11
+MAX_WALK_STEPS = 12 * 10**6  # per mvd_exact call, n per walk node; W11 takes 10,963,524
 
 
 @dataclass(frozen=True)
@@ -52,20 +52,11 @@ class MvdResult:
 
 
 def _walk(
-    g: Graph,
-    n: int,
-    full: int,
-    rows: Sequence[tuple[int, int]],
-    memo: dict[int, list[int]],
-    masks: list[int],
-    v: int,
-    used: int,
-    check_from: int,
-) -> bool:
-    """Colour vertices v..n-1 (n is g's order, ``full`` its vertex mask) into
-    the classes of ``masks``, classes 1..used open, in restricted-growth
-    order; True, with ``masks`` holding it, at the first partition into
-    exactly ``len(masks)`` classes that passes.
+    g: Graph, rows: Sequence[tuple[int, int]], memo: dict[int, list[int]], k: int, check_from: int, nodes_left: int
+) -> tuple[Optional[list[int]], int]:
+    """The first partition of g into exactly k classes, in restricted-growth
+    order, that passes, as class bitmasks (None when none does), and the
+    rest of the ``nodes_left`` nodes it may enter before ``GuardError``.
 
     From vertex ``check_from`` on, a branch is cut when the open classes,
     each grown by every vertex still uncoloured, fail the pass test.  That
@@ -74,26 +65,37 @@ def _walk(
     ``mvd_exact``).  So a cut branch holds no passing leaf, and the walk
     returns the same first leaf as an unpruned one.  The grown views share
     the leaf memo.  ``check_from`` = n checks leaves only.
-
-    A module function, not a closure in ``mvd_exact``: a recursive closure is
-    a reference cycle, which would hold the view memo until the cycle
-    collector runs.
     """
-    k = len(masks)
-    if v == n:
-        return partition_passes(g, masks, rows, memo)
-    if v >= check_from:
-        left = full >> v << v
-        if not partition_passes(g, [mask | left for mask in masks[:used]], rows, memo):
-            return False
-    bit = 1 << v
-    # once the unopened classes need every vertex left, v must open one
-    for c in range(used if n - v == k - used else 0, min(used + 1, k)):
-        masks[c] |= bit
-        if _walk(g, n, full, rows, memo, masks, v + 1, used + (c == used), check_from):
-            return True
-        masks[c] ^= bit
-    return False
+    n, full = g.order, g.full_mask()
+    masks, v = [1] + [0] * (k - 1), 1  # vertex 0 opens class 1; the walk enters vertex 1 first
+    held = [0] + [-1] * n  # each vertex's class, -1 before its first; held[n] stays -1
+    opened = [1] * (n + 1)  # the classes open before each vertex
+    while v:
+        used, c = opened[v], held[v]
+        if c < 0:  # enter v's node
+            if (nodes_left := nodes_left - 1) < 0:
+                raise GuardError(f"block {{{', '.join(sorted(g.labels)[:3])}, ...}} has order {n}: "
+                                 f"exact search passed the guard's budget of {MAX_WALK_STEPS} steps")
+            if v == n:
+                if partition_passes(g, masks, rows, memo):
+                    return masks, nodes_left
+                c = k  # no class left to try: back up
+            elif v >= check_from and not partition_passes(g, [m | full >> v << v for m in masks[:used]], rows, memo):
+                c = k
+            else:  # once the unopened classes need every vertex left, v must open one
+                c = used if n - v == k - used else 0
+        else:  # v's branch is walked: try its next class
+            masks[c] ^= 1 << v
+            c += 1
+        if c > used or c == k:
+            held[v] = -1
+            v -= 1
+        else:
+            masks[c] |= 1 << v
+            held[v] = c
+            opened[v + 1] = used + (c == used)
+            v += 1
+    return None, nodes_left
 
 
 def mvd_exact(g: Graph) -> MvdResult:
@@ -102,7 +104,8 @@ def mvd_exact(g: Graph) -> MvdResult:
     For a class count k, one walk colours the vertices in turn in
     restricted-growth order (classes numbered by first appearance, exactly k
     of them, lexicographic), keeps one bitmask per class, and checks each
-    full assignment.  Guarded to order 11 (Bell-number search).  One
+    full assignment.  Each node a walk enters costs n steps, as its pass test
+    is O(n); past ``MAX_WALK_STEPS`` per call it raises ``GuardError``.  One
     ``decompose`` call decides connectivity: it refuses a disconnected input,
     and a connected input of order >= 3 is 2-connected iff it is one block.
 
@@ -137,26 +140,23 @@ def mvd_exact(g: Graph) -> MvdResult:
     n = g.order
     if n < 2:
         raise ValueError("mvd is defined for graphs of order >= 2")
-    if n > MAX_EXACT_ORDER:
-        first = ", ".join(sorted(g.labels)[:3])
-        raise GuardError(f"block {{{first}, ...}} has order {n}: beyond the exact-solver guard ({MAX_EXACT_ORDER})")
     try:
         dec = decompose(g)
     except ValueError:  # g has order >= 2, so it is not connected
         raise ValueError("mvd is defined for connected graphs") from None
-    rows, full = pair_rows(g), g.full_mask()
+    rows, full, nodes_left = pair_rows(g), g.full_mask(), MAX_WALK_STEPS // n
     memo: dict[int, list[int]] = {}
     if n >= 4 and dec.r == 1 and triangle_free(g):
         found = [full]  # the single class always passes
         for k in range(2, n // 2 + 1):
-            masks = [1] + [0] * (k - 1)  # vertex 0 opens class 1
-            if not _walk(g, n, full, rows, memo, masks, 1, 1, 3):
+            masks, nodes_left = _walk(g, rows, memo, k, 3, nodes_left)
+            if masks is None:
                 break
             found = masks
     else:
         for k in range(n, 0, -1):
-            found = [1] + [0] * (k - 1)  # vertex 0 opens class 1
-            if _walk(g, n, full, rows, memo, found, 1, 1, n):
+            found, nodes_left = _walk(g, rows, memo, k, n, nodes_left)
+            if found is not None:  # k = 1 always does
                 break
     return MvdResult(len(found), {v: c + 1 for c, mask in enumerate(found) for v in _bits(mask)}, "exact")
 

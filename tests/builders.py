@@ -99,3 +99,10 @@ def generate_minimal_blocks(n: int) -> list[Graph]:
 
 def star_graph(leaves: int) -> Graph:
     return Graph.from_edges(default_labels(leaves + 1), [(0, i) for i in range(1, leaves + 1)])
+
+
+def wheel_graph(n: int) -> Graph:
+    """A hub joined to every vertex of a cycle on the other n - 1 vertices."""
+    rim = n - 1
+    edges = [(i, (i + 1) % rim) for i in range(rim)] + [(i, rim) for i in range(rim)]
+    return Graph.from_edges(default_labels(n), edges)

@@ -6,6 +6,7 @@ import random
 import pytest
 
 import mvdcolor.catalog as catalog_module
+import mvdcolor.solve as solve_module
 from mvdcolor.blocks import Block, decompose
 from mvdcolor.catalog import (
     Catalog,
@@ -344,6 +345,38 @@ def test_entry_value_is_its_color_count():
     cat.add(entry)
     result = mvd_via_blocks(block, cat)
     assert (result.value, result.block_methods) == (2, ("catalog:b7",))
+
+
+def _non_theta_block_of_order_8_with_value_2() -> Graph:
+    """The first minimal block of order 8, in census order, that no closed form answers; its value is 2."""
+    return next(g for g in census_graphs(8)[8] if mvd_closed_form(g) is None)
+
+
+def test_load_refuses_a_passing_coloring_below_the_value(tmp_path):
+    # one colour passes on every graph, so only the solve in ``Catalog.add`` sees that 1 < mvd = 2
+    block = _non_theta_block_of_order_8_with_value_2()
+    (tmp_path / "b8.txt").write_text(format_matrix(block, {v: 1 for v in range(block.order)}))
+    with pytest.raises(CatalogError) as caught:
+        load_catalog(str(tmp_path))
+    assert str(caught.value) == "b8.txt: entry 'b8' is not optimal: color count 1, graph's value 2"
+
+
+def test_load_keeps_an_optimal_entry_and_its_hit(tmp_path):
+    block = _non_theta_block_of_order_8_with_value_2()
+    (tmp_path / "b8.txt").write_text(format_matrix(block, mvd_exact(block).coloring))
+    cat = load_catalog(str(tmp_path))
+    assert [(e.id, e.mvd_value) for e in cat.entries] == [("b8", 2)]
+    result = mvd_via_blocks(block, cat)
+    assert (result.value, result.block_methods) == (2, ("catalog:b8",))
+
+
+def test_add_refuses_an_entry_past_the_walk_budget(monkeypatch):
+    block = _non_theta_block_of_order_7()
+    monkeypatch.setattr(solve_module, "MAX_WALK_STEPS", 1)
+    cat = Catalog()
+    with pytest.raises(CatalogError, match="entry 'b7' cannot be certified optimal: block .* budget"):
+        cat.add(CatalogEntry("b7", block, {v: 1 for v in range(block.order)}))
+    assert len(cat) == 0
 
 
 def test_save_refuses_a_directory_with_entries_it_would_not_overwrite(tmp_path):

@@ -56,6 +56,24 @@ def test_solve_worked_example_with_catalog(data_dir):
     assert "catalog:graph_9Vertex-9" in proc.stdout
 
 
+def test_solve_refuses_a_catalog_entry_below_its_value(tmp_path):
+    # a one-colour entry passes, but its block's value is 2: with it, solve once answered mvd = 1
+    from builders import census_graphs
+    from mvdcolor.graph import format_matrix
+    from mvdcolor.solve import mvd_closed_form
+
+    block = next(g for g in census_graphs(8)[8] if mvd_closed_form(g) is None)
+    cat = tmp_path / "cat"
+    cat.mkdir()
+    (cat / "b8.txt").write_text(format_matrix(block, {v: 1 for v in range(block.order)}))
+    graph = tmp_path / "b8.txt"
+    graph.write_text(format_matrix(block))
+    proc = run_cli("solve", str(graph), "--catalog", str(cat))
+    assert proc.returncode == 2 and not proc.stdout
+    assert proc.stderr == "error: b8.txt: entry 'b8' is not optimal: color count 1, graph's value 2\n"
+    assert "mvd = 2" in run_cli("solve", str(graph)).stdout
+
+
 def test_solve_tree(tmp_path):
     from builders import star_graph
     from mvdcolor.graph import format_matrix
@@ -323,15 +341,45 @@ def test_export_dot_refuses_a_partial_coloring(tmp_path):
 
 
 def test_solve_guard_exit_code(tmp_path):
-    from mvdcolor.catalog import theta_graph
-    from mvdcolor.graph import Graph, format_matrix
+    from builders import wheel_graph
+    from mvdcolor.graph import format_matrix
 
-    theta = theta_graph([2, 2, 1, 1, 1, 1, 1, 1])
-    big = tmp_path / "big.txt"
-    big.write_text(format_matrix(Graph.from_edges(theta.labels, theta.edges() + [(2, 5)])))  # order 12, no theta
+    big = tmp_path / "w12.txt"
+    big.write_text(format_matrix(wheel_graph(12)))  # its unpruned descent passes the walk budget
     proc = run_cli("solve", str(big))
     assert proc.returncode == 3
-    assert "guard" in proc.stderr
+    assert "guard" in proc.stderr and "budget" in proc.stderr
+
+
+def test_solve_walk_budget_exit_code(tmp_path, capsys, monkeypatch):
+    import mvdcolor.solve as solve
+    from builders import wheel_graph
+    from mvdcolor.cli import main
+    from mvdcolor.graph import format_matrix
+
+    path = tmp_path / "w6.txt"
+    path.write_text(format_matrix(wheel_graph(6)))
+    monkeypatch.setattr(solve, "MAX_WALK_STEPS", 1)
+    assert main(["solve", str(path)]) == 3
+    assert "budget" in capsys.readouterr().err
+
+
+def test_solve_chorded_theta_of_order_12(tmp_path):
+    # a non-theta block above order 11 that exact search answers at its first level
+    from mvdcolor.catalog import theta_graph
+    from mvdcolor.graph import Graph, format_matrix
+    from oracles import oracle_is_mvd
+
+    theta = theta_graph([2, 2, 1, 1, 1, 1, 1, 1])
+    g = Graph.from_edges(theta.labels, theta.edges() + [(2, 5)])
+    path = tmp_path / "chorded.txt"
+    path.write_text(format_matrix(g))
+    proc = run_cli("solve", str(path))
+    assert proc.returncode == 0, proc.stderr
+    assert "mvd = 1" in proc.stdout
+    # no 2-colouring passes the subset oracle, so by coarsening no colouring with more colours does
+    for mask in range(1, 1 << (g.order - 1)):
+        assert not oracle_is_mvd(g, {0: 1, **{v: 1 + (mask >> (v - 1) & 1) for v in range(1, g.order)}}), mask
 
 
 @pytest.mark.parametrize("spec, value", [((4, 4, 4, 4, 4), 8), ((10, 2, 1), 6)])

@@ -75,14 +75,21 @@ def test_connectivity_has_one_search():
     assert not {pair for pair in defined if pair[1] in {"is_connected", "_reach_mask", "is_two_connected"}}
 
 
+def _is_super_call(node: ast.expr) -> bool:
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "super"
+
+
 def _self_calls(tree: ast.AST) -> set[str]:
-    """Functions that call themselves by name, as ``f(...)`` or ``obj.f(...)``."""
+    """Functions that call themselves by name, as ``f(...)`` or ``obj.f(...)``;
+    ``super().f(...)`` reaches a base class's method, not f itself."""
     found: set[str] = set()
     for fn in ast.walk(tree):
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
             for call in ast.walk(fn):
                 if isinstance(call, ast.Call):
                     callee = call.func
+                    if isinstance(callee, ast.Attribute) and _is_super_call(callee.value):
+                        continue
                     name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
                     if name == fn.name:
                         found.add(fn.name)
@@ -90,10 +97,18 @@ def _self_calls(tree: ast.AST) -> set[str]:
 
 
 def test_self_calls_are_found():
-    tree = ast.parse("def f(n):\n    return f(n - 1)\nclass P:\n    def g(self):\n        self.g()\n    def h(self):\n        self.g()\n")
+    tree = ast.parse(
+        "def f(n):\n    return f(n - 1)\nclass P:\n    def g(self):\n        self.g()\n    def h(self):\n        self.g()\n"
+        "class Q(P):\n    def h(self):\n        super().h()\n"
+    )
     assert _self_calls(tree) == {"f", "g"}
 
 
-def test_iso_search_is_iterative():
-    # a recursive search would raise RecursionError on long paths
-    assert _self_calls(ast.parse((SRC / "iso.py").read_text(encoding="utf-8"))) == set()
+def test_no_function_in_src_recurses():
+    # a recursive search would raise RecursionError on long paths or large blocks
+    recursive = {
+        path.name: calls
+        for path in sorted(SRC.glob("*.py"))
+        if (calls := _self_calls(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert recursive == {}

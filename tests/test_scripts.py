@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mvdcolor.solve as solve
 from mvdcolor.solve import MvdResult, mvd_exact
 
 ROOT = Path(__file__).parent.parent
@@ -32,10 +33,15 @@ def test_random_agreement_script():
     assert "20 samples, 0 disagreements" in proc.stdout
 
 
-def test_random_agreement_script_fails_on_a_disagreement(monkeypatch, capsys):
+def _load_random_agreement():
     spec = importlib.util.spec_from_file_location("random_agreement", ROOT / "scripts" / "random_agreement.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_random_agreement_script_fails_on_a_disagreement(monkeypatch, capsys):
+    script = _load_random_agreement()
 
     def off_by_one(g):
         res = mvd_exact(g)
@@ -44,3 +50,12 @@ def test_random_agreement_script_fails_on_a_disagreement(monkeypatch, capsys):
     monkeypatch.setattr(script, "mvd_exact", off_by_one)
     assert script.main(["--samples", "3", "--max-order", "5"]) == 1
     assert "3 samples, 3 disagreements" in capsys.readouterr().out
+
+
+def test_random_agreement_script_counts_guarded_samples(monkeypatch, capsys):
+    # every exact search passes a budget of 1 step; the catalog to order 6 is all closed forms,
+    # so only the glued fourth sample, answered by closed forms and lookups, is compared
+    script = _load_random_agreement()
+    monkeypatch.setattr(solve, "MAX_WALK_STEPS", 1)
+    assert script.main(["--samples", "4", "--max-order", "6"]) == 0
+    assert "4 samples, 0 disagreements, 3 guarded" in capsys.readouterr().out

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import functools
+import operator
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -31,13 +34,24 @@ from mvdcolor.solve import (
     mvd_compose,
     mvd_exact,
     mvd_via_blocks,
+    solve_block,
     stitch_colorings,
 )
 from mvdcolor.verify import _classes, color_count, is_mvd_coloring, pair_rows, partition_passes
-from builders import attach_blocks, census_graphs, random_cactus, random_connected_graph, random_tree, star_graph, theta_specs
+from builders import (
+    attach_blocks,
+    census_graphs,
+    random_cactus,
+    random_connected_graph,
+    random_tree,
+    star_graph,
+    theta_specs,
+    wheel_graph,
+)
 from oracles import (
     all_set_partitions,
     components,
+    every_pair_minimal_blocks_up_to,
     k_path_bound,
     oracle_is_mvd,
     oracle_is_two_connected,
@@ -73,10 +87,12 @@ def test_exact_small_values():
 
 
 def test_exact_guards():
+    # W12 walks the unpruned descent, past the budget that W11's 10,963,524 steps stay under
     with pytest.raises(GuardError) as err:
-        mvd_exact(cycle_graph(12))
+        mvd_exact(wheel_graph(12))
     message = str(err.value)
     assert message.startswith("block {a, b, c, ...}") and "order 12" in message and "guard" in message
+    assert f"budget of {solve_module.MAX_WALK_STEPS} steps" in message
     assert len(message) < 160, message
     with pytest.raises(ValueError):
         mvd_exact(Graph.from_edges(["a", "b", "c", "d"], [(0, 1), (2, 3)]))
@@ -125,13 +141,6 @@ def reference_exact(g: Graph) -> tuple[int, dict[int, int]]:
             if is_mvd_coloring(g, coloring).ok:
                 return k, coloring
     raise AssertionError("the single-class coloring always passes")
-
-
-def wheel_graph(n: int) -> Graph:
-    """A hub joined to every vertex of a cycle on the other n - 1 vertices."""
-    rim = n - 1
-    edges = [(i, (i + 1) % rim) for i in range(rim)] + [(i, rim) for i in range(rim)]
-    return Graph.from_edges(default_labels(n), edges)
 
 
 def _census_with_chords(rng: random.Random, orders: range) -> list[Graph]:
@@ -186,28 +195,29 @@ def test_exact_walk_matches_reference_search_at_order_9():
 
 def _prune_cuts(g: Graph, monkeypatch) -> list[tuple[int, tuple[int, ...]]]:
     """(k, colours of the coloured vertices) for each branch that the C | U
-    check of ``mvd_exact``'s walks cuts on g, read by wrapping ``_walk`` and
-    the pass test: a failed test at a node short of a full assignment."""
-    cuts: list[tuple[int, tuple[int, ...]]] = []
-    nodes: list[tuple[list[int], int]] = []
-    real_walk, real_passes = solve_module._walk, solve_module.partition_passes
+    check of ``mvd_exact``'s walks cuts on g, read off the pass test alone:
+    a failed test at a node short of a full assignment.
 
-    def walk(g, n, full, rows, memo, masks, v, used, check_from):
-        nodes.append((list(masks), v))
-        try:
-            return real_walk(g, n, full, rows, memo, masks, v, used, check_from)
-        finally:
-            nodes.pop()
+    At vertex v the grown classes share exactly v.., the vertices still
+    uncoloured (a failing test has two or more classes), while a leaf's
+    classes share nothing.  Only the ascent prunes, and a passing leaf ends
+    each of its levels, so its level k is 2 plus the passing leaves so far."""
+    cuts: list[tuple[int, tuple[int, ...]]] = []
+    passed = 0
+    real_passes = solve_module.partition_passes
 
     def passes(g, class_masks, rows, memo):
+        nonlocal passed
         ok = real_passes(g, class_masks, rows, memo)
-        masks, v = nodes[-1]
-        if not ok and v < g.order:
-            cuts.append((len(masks), tuple(c + 1 for u in range(v) for c, m in enumerate(masks) if m >> u & 1)))
+        left = functools.reduce(operator.and_, class_masks)
+        if not left:
+            passed += ok
+        elif not ok:
+            v = (left & -left).bit_length() - 1
+            cuts.append((2 + passed, tuple(c + 1 for u in range(v) for c, m in enumerate(class_masks) if m >> u & 1)))
         return ok
 
     with monkeypatch.context() as patch:
-        patch.setattr(solve_module, "_walk", walk)
         patch.setattr(solve_module, "partition_passes", passes)
         mvd_exact(g)
     return cuts
@@ -633,8 +643,10 @@ def test_via_blocks_guard_names_the_block():
     theta = theta_graph([2, 2, 1, 1, 1, 1, 1, 1])  # order 12
     res = mvd_via_blocks(theta)
     assert res.value == 2 and res.block_methods == ("closed-form",)
-    with pytest.raises(GuardError, match="block {a, b, c"):
-        mvd_via_blocks(_with_chord_2_5(theta))
+    res = mvd_via_blocks(_with_chord_2_5(theta))  # no theta, and answered by the ascent's first level
+    assert res.value == 1 and res.block_methods == ("exact",)
+    with pytest.raises(GuardError, match="block {a, b, c, ...} has order 12"):
+        mvd_via_blocks(wheel_graph(12))
 
 
 def test_guard_message_stays_short_on_a_large_block():
@@ -645,8 +657,32 @@ def test_guard_message_stays_short_on_a_large_block():
         mvd_via_blocks(_with_chord_2_5(theta))
     message = str(err.value)
     assert "guard" in message and "order 1006" in message
+    assert f"budget of {solve_module.MAX_WALK_STEPS} steps" in message
     assert message.startswith("block {v1, v10, v100, ...}")
     assert len(message) < 160, message
+
+
+def test_walk_runs_deep_without_recursion():
+    # a passing leaf lies 2,006 vertices deep, past the interpreter's recursion limit
+    g = _with_chord_2_5(theta_graph([1000, 1000, 2, 2]))
+    masks, nodes_left = solve_module._walk(g, pair_rows(g), {}, 2, 3, 10**6)
+    assert masks is not None and len(masks) == 2 and masks[0] | masks[1] == g.full_mask()
+    assert partition_passes(g, masks, pair_rows(g), {})
+    assert 10**6 - nodes_left >= g.order
+
+
+@pytest.mark.parametrize(
+    "n, tally",
+    [
+        (11, {2: 75, 3: 76, 4: 29, 5: 4}),
+        pytest.param(12, {2: 181, 3: 234, 4: 91, 5: 19, 6: 1}, marks=pytest.mark.slow),
+    ],
+)
+def test_census_values_at_orders_11_and_12(n, tally):
+    # every minimal block of order n, solved as ``mvdcolor solve`` solves a block
+    values = [solve_block(decompose(g).blocks[0], None).value for g in every_pair_minimal_blocks_up_to(n)[n]]
+    assert Counter(values) == tally
+    assert max(values) <= n // 2
 
 
 def test_no_larger_coloring_exists_at_small_order():
