@@ -4,9 +4,9 @@ One search decides every connectivity question in the package: ``decompose``
 runs it once per graph, and ``is_minimally_two_connected`` runs it once, then
 again without each edge whose removal is in doubt.  The search explores from
 vertex 0 with neighbors in ascending index order, so blocks and cut vertices
-come out deterministically.  Blocks are emitted with vertices in stack pop
-order followed by the articulation parent; the search uses an explicit stack
-and survives long paths that would overflow recursion.
+come out deterministically.  ``decompose`` lists each block's vertices in
+ascending order, so a 2-connected graph's one block is that graph itself.
+An explicit stack lets the search survive paths too long for recursion.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from .graph import Graph, induced_subgraph
 
 @dataclass(frozen=True)
 class Block:
-    """One block: vertex indices into the parent graph plus its induced subgraph."""
+    """One block: its parent-graph vertices, ascending, and the subgraph they
+    induce, a copy even when it is the whole graph (no reference cycle)."""
 
     vertices: tuple[int, ...]
     graph: Graph
@@ -33,10 +34,10 @@ class Block:
 class BlockDecomposition:
     """Blocks in DFS completion order, and the cut vertices.
 
-    Each block lists its vertices with its articulation parent last, and the
-    last block contains the DFS root.  So for every block but the last, its
-    last vertex is the only one it shares with the blocks after it; walking
-    the blocks backwards, each meets the part already walked at that vertex.
+    The last block contains the DFS root, and every other block shares
+    exactly one vertex with the blocks after it: its articulation parent, a
+    cut vertex.  So walking the blocks backwards, each meets the part
+    already walked at one vertex.
     """
 
     blocks: tuple[Block, ...]
@@ -150,7 +151,7 @@ def decompose(g: Graph) -> BlockDecomposition:
         raw_blocks, cuts = _dfs_engine(g.neighbors, root=0)
         if sum(map(len, raw_blocks)) - len(raw_blocks) + 1 != g.order:
             raise ValueError("block decomposition needs a connected graph")
-        blocks = tuple(Block(tuple(vs), induced_subgraph(g, vs)) for vs in raw_blocks)
+        blocks = tuple(Block(vs, induced_subgraph(g, vs)) for vs in map(tuple, map(sorted, raw_blocks)))
         vars(g)["_decomposition"] = BlockDecomposition(blocks, frozenset(cuts))
     return vars(g)["_decomposition"]
 

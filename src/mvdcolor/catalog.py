@@ -1,6 +1,6 @@
 """The type set: generalized theta graphs, census of minimal blocks, storage.
 
-Minimal blocks (minimally 2-connected graphs) of order 3..10 are generated
+Minimal blocks (minimally 2-connected graphs) of order 3..12 are generated
 by seeding with cycles and closing under ear additions that carry at least
 one internal vertex, filtering with ``blocks.is_minimally_two_connected`` at
 every order and deduplicating by canonical form.  Every minimal block that
@@ -31,7 +31,7 @@ from .solve import mvd_closed_form, mvd_exact
 from .verify import color_count, is_mvd_coloring
 
 GENERATION_MIN_ORDER = 3
-GENERATION_MAX_ORDER = 10
+GENERATION_MAX_ORDER = 12
 CENSUS_FILE = "census.txt"  # the per-order summary beside the entry files
 
 

@@ -267,10 +267,10 @@ def stitch_colorings(dec: BlockDecomposition, per_block: Sequence[Mapping[int, i
     """Merge per-block colorings into one global coloring, verified per block.
 
     Blocks are taken in reverse decomposition order, so each block after the
-    first meets the colored part exactly at its last vertex, its articulation
-    parent (see ``BlockDecomposition``).  Each block keeps its class structure
-    up to renaming; the class of that shared cut vertex is renamed to the
-    vertex's fixed global color and every other class receives a fresh color,
+    first meets the colored part at exactly one vertex, a cut vertex (see
+    ``BlockDecomposition``).  Each block keeps its class structure up to
+    renaming; the class of that shared vertex is renamed to the vertex's
+    fixed global color and every other class receives a fresh color,
     allocated consecutively in processing order.  The result uses exactly (sum
     of per-block color counts) - r + 1 colors.  Each nontrivial block is
     checked once, on the restriction of the stitched coloring, by the block
@@ -286,9 +286,7 @@ def stitch_colorings(dec: BlockDecomposition, per_block: Sequence[Mapping[int, i
     next_color = 1
     for block, local in zip(reversed(dec.blocks), reversed(per_block)):
         _require_total(block.graph, local)
-        rename: dict[int, int] = {}
-        if global_coloring:
-            rename[local[len(block.vertices) - 1]] = global_coloring[block.vertices[-1]]
+        rename = {local[i]: global_coloring[v] for i, v in enumerate(block.vertices) if v in global_coloring}
         for c in sorted(set(local.values())):
             if c not in rename:
                 rename[c] = next_color

@@ -20,7 +20,7 @@ def pytest_addoption(parser):
         "--runslow",
         action="store_true",
         default=False,
-        help="run long-running checks (order-10 census, order-7 brute force)",
+        help="run long-running checks (census cross-checks to order 12, order-7 brute force)",
     )
 
 

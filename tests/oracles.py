@@ -6,7 +6,8 @@ implementation paths it validates.  Reference helpers that the library no
 longer needs also live here: the restricted-growth partition enumerator that
 the exact search used to draw from, ``restrict``, the census generator that
 attaches an ear at every vertex pair, ``k_path_bound``, the bound that k
-disjoint paths between a nonadjacent pair certify,
+disjoint paths between a nonadjacent pair certify, ``strip_bound``, the
+bound that stripping one thread certifies,
 ``triangle_blocks_value``, which reads the library's block decomposition,
 ``reference_parse_matrix``, the whole-file tokenising matrix reader that
 the one-pass reader replaced, and
@@ -21,8 +22,9 @@ import itertools
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from mvdcolor.blocks import decompose, is_minimally_two_connected
-from mvdcolor.graph import Graph, GraphFormatError, cycle_graph, default_labels
+from mvdcolor.graph import Graph, GraphFormatError, cycle_graph, default_labels, induced_subgraph
 from mvdcolor.iso import Labelling, _relabelled, _twin_classes, canonical_form
+from mvdcolor.solve import mvd_via_blocks
 
 
 def components(g: Graph, removed: set[int]) -> list[set[int]]:
@@ -196,6 +198,31 @@ def k_path_bound(g: Graph, a: int, b: int, paths: Sequence[Sequence[int]]) -> in
     inner = [v for p in paths for v in p[1:-1]]
     assert len(inner) == len(set(inner)), "paths share an inner vertex"
     return 1 + (g.order - len(paths)) // 2
+
+
+def strip_bound(g: Graph) -> list[tuple[int, int]]:
+    """The thread-strip bound of each thread of g, as (m, bound) pairs.
+
+    A thread is a maximal path whose m >= 1 inner vertices have degree 2,
+    between two nonadjacent vertices of degree >= 3; a cycle has none.  For a
+    2-connected triangle-free g, mvd(g) <= mvd(g - T) + (m - 1) // 2, where
+    g - T drops T's inner vertices: g - T is connected, at most mvd(g - T)
+    classes meet it, every class has >= 2 vertices, and the class that
+    separates T's ends meets both T and g - T, so every class inside T
+    misses one of T's inner vertices."""
+    bounds = []
+    for a in range(g.order):
+        if len(g.neighbors[a]) < 3:
+            continue
+        for w in g.neighbors[a]:
+            path = [a, w]
+            while len(g.neighbors[path[-1]]) == 2:
+                path.append(next(x for x in g.neighbors[path[-1]] if x != path[-2]))
+            b, inner = path[-1], path[1:-1]
+            if inner and a < b and not g.has_edge(a, b):
+                stripped = induced_subgraph(g, [v for v in range(g.order) if v not in inner])
+                bounds.append((len(inner), mvd_via_blocks(stripped).value + (len(inner) - 1) // 2))
+    return bounds
 
 
 def restrict(coloring: Mapping[int, int], vertices: Iterable[int]) -> dict[int, int]:

@@ -28,12 +28,12 @@ def test_example_cut_vertices_and_block_sets(example17):
 
 
 def test_example_block_emission_order_is_deterministic(example17):
-    # Golden emission order: stack pop order followed by the articulation parent.
+    # Golden emission order: blocks in DFS completion order, each listing its vertices ascending.
     g = example17
     dec = decompose(g)
     orders = [[g.labels[v] for v in b.vertices] for b in dec.blocks]
-    assert orders[0] == list("IMDOCLQBH")
-    assert orders[1] == list("KPJNHGFEA")
+    assert orders[0] == list("BCDHILMOQ")
+    assert orders[1] == list("AEFGHJKNP")
 
 
 def test_cycle_is_one_block():
@@ -117,13 +117,30 @@ def test_structural_invariants_on_random_sample():
             assert (count >= 2) == (v in dec.cut_vertices)
 
 
-def test_each_block_meets_the_later_blocks_at_its_last_vertex():
+def test_each_block_meets_the_later_blocks_at_one_cut_vertex():
+    # what stitching relies on: walking the blocks backwards, each meets the walked part at one vertex
     rng = random.Random(19)
     for trial in range(200):
         dec = decompose(random_connected_graph(rng, rng.randint(2, 12)))
         for i, block in enumerate(dec.blocks[:-1]):
             later = {v for b in dec.blocks[i + 1:] for v in b.vertices}
-            assert set(block.vertices) & later == {block.vertices[-1]}
+            shared = set(block.vertices) & later
+            assert len(shared) == 1 and shared <= dec.cut_vertices
+
+
+def test_a_two_connected_graph_is_its_own_block():
+    # the block keeps the graph's vertex order, so solving it walks what the whole-graph search walks
+    rng = random.Random(41)
+    graphs = [g for gs in census_graphs(9).values() for g in gs]
+    while len(graphs) < 300:
+        g = random_connected_graph(rng, rng.randint(3, 12))
+        if oracle_is_two_connected(g):
+            graphs.append(g)
+    for g in graphs:
+        dec = decompose(g)
+        assert dec.r == 1
+        assert dec.blocks[0].vertices == tuple(range(g.order)) and dec.blocks[0].graph == g, g
+        assert dec.blocks[0].graph is not g
 
 
 def test_long_path_does_not_overflow():

@@ -110,10 +110,10 @@ def test_generation_matches_labeled_brute_force_at_7():
 
 
 def test_census_counts_are_stable():
-    # derived artifacts: counts for orders 7..9 are pinned as regression values
-    levels = census_graphs(9)
+    # the number of minimally 2-connected graphs of each order, OEIS A003317
+    levels = census_graphs(12)
     assert {n: len(gs) for n, gs in levels.items()} == {
-        3: 1, 4: 1, 5: 2, 6: 3, 7: 6, 8: 12, 9: 28,
+        3: 1, 4: 1, 5: 2, 6: 3, 7: 6, 8: 12, 9: 28, 10: 68, 11: 184, 12: 526,
     }
 
 
@@ -129,8 +129,9 @@ def test_orbit_pruning_keeps_the_every_pair_census_to_9():
 
 
 @pytest.mark.slow
-def test_orbit_pruning_keeps_the_every_pair_census_at_10():
-    assert_same_census(10)
+@pytest.mark.parametrize("max_order", [10, 11, 12])
+def test_orbit_pruning_keeps_the_every_pair_census_at(max_order):
+    assert_same_census(max_order)
 
 
 def ear_ends(g):
@@ -210,11 +211,11 @@ def test_generation_rejects_out_of_range():
     with pytest.raises(ValueError):
         generate_minimal_blocks(2)
     with pytest.raises(ValueError):
-        generate_minimal_blocks(11)
-    with pytest.raises(ValueError, match="orders 3..10, got 2"):
+        generate_minimal_blocks(13)
+    with pytest.raises(ValueError, match="orders 3..12, got 2"):
         build_catalog(2)
-    with pytest.raises(ValueError, match="orders 3..10, got 11"):
-        build_catalog(11)
+    with pytest.raises(ValueError, match="orders 3..12, got 13"):
+        build_catalog(13)
 
 
 def test_build_catalog_small():

@@ -57,6 +57,7 @@ from oracles import (
     oracle_is_two_connected,
     partitions_into_k_classes,
     restrict,
+    strip_bound,
 )
 
 
@@ -510,9 +511,9 @@ def test_stitch_single_block_renames():
 def test_stitch_rejects_bad_block_coloring():
     c4 = cycle_graph(4)
     dec4 = decompose(c4)
-    # the block lists C4 as d, c, b, a: b and d share a colour, a and c have one each, so no class cuts b from d
+    # the block lists C4 as a, b, c, d: b and d share a colour, a and c have one each, so no class cuts b from d
     with pytest.raises(ValueError, match="fails verification.*no monochromatic cut for 'b','d'"):
-        stitch_colorings(dec4, [{0: 1, 1: 2, 2: 1, 3: 3}])
+        stitch_colorings(dec4, [{0: 1, 1: 2, 2: 3, 3: 2}])
 
 
 def test_stitch_properties_on_random_block_trees():
@@ -675,14 +676,49 @@ def test_walk_runs_deep_without_recursion():
     "n, tally",
     [
         (11, {2: 75, 3: 76, 4: 29, 5: 4}),
-        pytest.param(12, {2: 181, 3: 234, 4: 91, 5: 19, 6: 1}, marks=pytest.mark.slow),
+        (12, {2: 181, 3: 234, 4: 91, 5: 19, 6: 1}),
     ],
 )
 def test_census_values_at_orders_11_and_12(n, tally):
-    # every minimal block of order n, solved as ``mvdcolor solve`` solves a block
-    values = [solve_block(decompose(g).blocks[0], None).value for g in every_pair_minimal_blocks_up_to(n)[n]]
+    # every minimal block of order n, solved as ``mvdcolor solve`` solves a block.  The 526 solves at
+    # order 12 take about 1.3 s on 2 vCPUs; with each block renumbered in DFS order they took 12.5-14.6 s
+    census = every_pair_minimal_blocks_up_to(n)[n]
+    start = time.perf_counter()
+    values = [solve_block(decompose(g).blocks[0], None).value for g in census]
+    elapsed = time.perf_counter() - start
     assert Counter(values) == tally
     assert max(values) <= n // 2
+    assert elapsed < 6.0, f"{len(census)} block solves took {elapsed:.1f} s"
+
+
+@pytest.mark.parametrize(
+    "max_order, blocks, exact_blocks, exact_threads, gaps_of_2",
+    [
+        (10, 113, 104, {1: (350, 430), 2: (73, 85), 3: (20, 24), 4: (12, 12)}, 0),
+        pytest.param(12, 821, 783, {1: (3041, 3881), 2: (604, 738), 3: (144, 200), 4: (84, 96)}, 12,
+                     marks=pytest.mark.slow),
+    ],
+    ids=["to-10", "to-12"],
+)
+def test_census_values_meet_their_strip_bounds(max_order, blocks, exact_blocks, exact_threads, gaps_of_2):
+    # an upper bound at orders past the partition oracle's reach; ``exact_threads`` maps m (4 standing
+    # for m >= 4) to (threads whose bound equals the value, all threads)
+    seen = exact = 0
+    exact_by_m, threads_by_m, gaps = Counter(), Counter(), Counter()
+    for g in (g for gs in census_graphs(max_order).values() for g in gs):
+        if max(map(len, g.neighbors)) == 2:  # a cycle has no thread
+            continue
+        value, bounds = mvd_via_blocks(g).value, strip_bound(g)
+        seen += 1
+        exact += any(bound == value for _, bound in bounds)
+        for m, bound in bounds:
+            assert bound >= value, (g, m, bound, value)
+            threads_by_m[min(m, 4)] += 1
+            exact_by_m[min(m, 4)] += bound == value
+            gaps[bound - value] += 1
+    assert (seen, exact) == (blocks, exact_blocks)
+    assert {m: (exact_by_m[m], threads_by_m[m]) for m in sorted(threads_by_m)} == exact_threads
+    assert gaps[2] == gaps_of_2 and set(gaps) <= {0, 1, 2}
 
 
 def test_no_larger_coloring_exists_at_small_order():
