@@ -39,7 +39,6 @@ from .graph import (
     to_dot,
     triangle_free,
 )
-from .iso import canonical_form, find_isomorphism, transfer_coloring
 from .solve import (
     MvdResult,
     counting_formula,
@@ -68,13 +67,11 @@ __all__ = [
     "bound_blocks",
     "bound_half_order",
     "build_catalog",
-    "canonical_form",
     "classify",
     "complete_graph",
     "counting_formula",
     "cycle_graph",
     "decompose",
-    "find_isomorphism",
     "format_matrix",
     "induced_subgraph",
     "is_minimally_two_connected",
@@ -92,7 +89,6 @@ __all__ = [
     "stitch_colorings",
     "theta_graph",
     "to_dot",
-    "transfer_coloring",
     "triangle_free",
 ]
 

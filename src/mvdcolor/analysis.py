@@ -15,7 +15,7 @@ from typing import Optional
 from .blocks import BlockDecomposition, decompose, is_minimally_two_connected
 from .catalog import Catalog
 from .graph import Graph, induced_subgraph, theta_threads, triangle_free
-from .iso import CANONICAL_MAX_ORDER, canonical_form
+from .iso import canonical_labelling
 from .solve import mvd_via_blocks
 
 
@@ -84,6 +84,9 @@ def bound_blocks(g: Graph) -> BoundReport:
     return BoundReport("block-formula", True, f"r={dec.r}, t={dec.t}", value)
 
 
+# the largest core whose key is printed: a key has n(n-1)/2 characters
+CANONICAL_MAX_ORDER = 12
+
 # n - mvd of the minimal blocks of deficit <= 4, keyed by their sorted thread
 # inner-vertex counts: C4; C5, C6, K2,3; C7, C8, P(3,1,1), P(2,1,1), P(1,1,1,1)
 _DEFICIT = {
@@ -137,6 +140,6 @@ def classify(g: Graph, catalog: Optional[Catalog] = None) -> ClassificationResul
         raise AssertionError(f"block deficits {deficits} sum to n-{sum(deficits)}, solver says n-{code}")
     family = _FAMILY.get(code, "unclassified")
     core = nontrivial_core(g)
-    core_key = canonical_form(core) if core is not None and core.order <= CANONICAL_MAX_ORDER else None
+    core_key = canonical_labelling(core).key if core is not None and core.order <= CANONICAL_MAX_ORDER else None
     return ClassificationResult(True, n, value, regime, family, core, core_key)
 

@@ -1,10 +1,10 @@
-"""Command-line front end: decompose, solve (blocks only), verify, iso, catalog,
+"""Command-line front end: decompose, solve (blocks only), verify, catalog,
 classify, bound, and DOT export as reproducible batch subcommands.
 
-Exit codes: 0 success, 1 negative verdict (verification FAIL, not isomorphic),
-2 input error (bad input, or a path that cannot be read or written), 3
-guard/limit error.  All reports are plain text with stable ordering;
-``--json`` switches any subcommand to a machine-readable report.
+Exit codes: 0 success, 1 verification FAIL, 2 input error (bad input, or a
+path that cannot be read or written), 3 guard/limit error.  All reports are
+plain text with stable ordering; ``--json`` switches any subcommand to a
+machine-readable report.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .graph import (
     parse_matrix,
     to_dot,
 )
-from .iso import find_isomorphism
 from .solve import solve_auto
 from .verify import _require_total, is_mvd_coloring
 
@@ -152,17 +151,6 @@ def _cmd_verify(args) -> tuple[list[str], dict, int]:
     return lines, report, EXIT_FAIL
 
 
-def _cmd_iso(args) -> tuple[list[str], dict, int]:
-    g, _ = load_graph(args.graph_a)
-    h, _ = load_graph(args.graph_b)
-    mapping = find_isomorphism(g, h)
-    if mapping is None:
-        return ["NOT ISOMORPHIC"], {"isomorphic": False}, EXIT_FAIL
-    lines = [f"{g.labels[v]} -> {h.labels[w]}" for v, w in sorted(mapping.items())]
-    report = {"isomorphic": True, "mapping": {g.labels[v]: h.labels[w] for v, w in mapping.items()}}
-    return lines, report, EXIT_OK
-
-
 def _cmd_catalog_build(args) -> tuple[list[str], dict, int]:
     cat = build_catalog(args.max_order)
     save_catalog(cat, args.out)
@@ -264,12 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("coloring", nargs="?")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("iso", help="find an isomorphism between two graphs")
-    p.add_argument("graph_a")
-    p.add_argument("graph_b")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_iso)
 
     p = sub.add_parser("catalog", help="catalog maintenance")
     csub = p.add_subparsers(dest="catalog_command", required=True)

@@ -1,15 +1,17 @@
-"""Canonical vertex orderings, and the keys and isomorphisms read from them.
+"""Canonical vertex orderings, and the keys read from them.
 
-One iterative individualisation-refinement search (McKay & Piperno,
-"Practical graph isomorphism II", 2014) serves every caller.  It refines an
-ordered partition until equitable and individualises each vertex of the
-first smallest non-singleton cell in turn; the canonical ordering is the
-discrete leaf whose relabelled graph is least.  It splits cells of mutual
-twins outright, tries one vertex per twin class, and skips images of explored
-subtrees under automorphisms found at leaves.  It returns those leaf
-automorphisms, with the swap of each vertex and the first of its twin class,
-so callers can prune by symmetry too.  More than ``MAX_SEARCH_NODES`` nodes
-raise ``GuardError``.
+One iterative individualisation-refinement search (McKay & Piperno, "Practical
+graph isomorphism II", 2014) serves census deduplication, catalog lookup and
+``classify``'s core key.  Two graphs are isomorphic exactly when their
+relabelled graphs are equal; their canonical orders, paired position by
+position, then map one onto the other.  The search refines an ordered
+partition until equitable and individualises each vertex of the first smallest
+non-singleton cell in turn; the canonical ordering is the discrete leaf whose
+relabelled graph is least.  It splits cells of mutual twins outright, tries
+one vertex per twin class, and skips images of explored subtrees under
+automorphisms found at leaves.  It returns those leaf automorphisms, with the
+swap of each vertex and the first of its twin class, so callers can prune by
+symmetry too.  More than ``MAX_SEARCH_NODES`` nodes raise ``GuardError``.
 
 The search walks depth first over one partition, split in place and merged
 back along an undo trail.  A splitter's work scales with the vertices it
@@ -27,7 +29,6 @@ from typing import NamedTuple, Optional, Sequence
 
 from .graph import Graph, GuardError
 
-CANONICAL_MAX_ORDER = 12
 MAX_SEARCH_NODES = 50_000
 
 
@@ -269,26 +270,3 @@ def canonical_labelling(g: Graph) -> Labelling:
     swaps = [{v: t, t: v} for v, t in enumerate(twins) if t != v]
     return Labelling(best[1], best[0], gens + swaps)
 
-
-def canonical_form(g: Graph) -> str:
-    """Key equal across isomorphic graphs: ``n|bits``, the rows below the diagonal in canonical order."""
-    if g.order > CANONICAL_MAX_ORDER:
-        raise GuardError(f"canonical form limited to order {CANONICAL_MAX_ORDER}, got {g.order}")
-    return canonical_labelling(g).key
-
-
-def find_isomorphism(g: Graph, h: Graph) -> Optional[dict[int, int]]:
-    """Adjacency-preserving bijection from g onto h, or None (definitive).
-
-    It maps the canonical ordering of g onto that of h position by position;
-    callers must not rely on which isomorphism that is.
-    """
-    if g.order != h.order or g.size != h.size:
-        return None
-    lg, lh = canonical_labelling(g), canonical_labelling(h)
-    return dict(zip(lg.order, lh.order)) if lg.relabelled == lh.relabelled else None
-
-
-def transfer_coloring(mapping: dict[int, int], source: dict[int, int]) -> dict[int, int]:
-    """Pull a coloring of the target graph back along the mapping."""
-    return {v: source[w] for v, w in mapping.items()}

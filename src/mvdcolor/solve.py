@@ -25,7 +25,6 @@ from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 from . import verify
 from .blocks import Block, BlockDecomposition, decompose
 from .graph import Graph, GuardError, _bits, is_complete, theta_threads, triangle_free
-from .iso import transfer_coloring
 from .verify import _require_total, color_count, pair_rows, partition_passes
 
 if TYPE_CHECKING:
@@ -319,8 +318,8 @@ def solve_block(block: Block, catalog: Optional[Catalog]) -> MvdResult:
     if catalog is not None:
         hit = catalog.lookup(bg)
         if hit is not None:
-            entry, mapping = hit
-            return MvdResult(entry.mvd_value, transfer_coloring(mapping, entry.coloring), f"catalog:{entry.id}")
+            entry, mapping = hit  # pull the entry's coloring back onto the block
+            return MvdResult(entry.mvd_value, {v: entry.coloring[w] for v, w in mapping.items()}, f"catalog:{entry.id}")
     return mvd_exact(bg)
 
 

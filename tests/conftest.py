@@ -20,7 +20,8 @@ def pytest_addoption(parser):
         "--runslow",
         action="store_true",
         default=False,
-        help="run long-running checks (census cross-checks to order 12, order-7 brute force)",
+        help="run long-running checks (census cross-checks to order 12, the networkx census at order 11, "
+        "the order-13 value tally, order-7 brute force)",
     )
 
 

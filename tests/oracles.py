@@ -6,14 +6,16 @@ implementation paths it validates.  Reference helpers that the library no
 longer needs also live here: the restricted-growth partition enumerator that
 the exact search used to draw from, ``restrict``, the census generator that
 attaches an ear at every vertex pair, ``k_path_bound``, the bound that k
-disjoint paths between a nonadjacent pair certify, ``strip_bound``, the
-bound that stripping one thread certifies,
+disjoint paths between a nonadjacent pair certify, ``threads``,
+``strip_bound``, the bound that stripping one thread certifies,
+``shorten_thread``,
 ``triangle_blocks_value``, which reads the library's block decomposition,
 ``reference_parse_matrix``, the whole-file tokenising matrix reader that
 the one-pass reader replaced, and
 ``reference_canonical_labelling``, the canonical search whose refinement sorts
 every touched cell whole, which the move-only-touched-vertices refinement
-replaced.
+replaced.  ``networkx_minimal_blocks_up_to`` builds the census with
+networkx's ``is_isomorphic`` in place of the library's canonical search.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from mvdcolor.blocks import decompose, is_minimally_two_connected
 from mvdcolor.graph import Graph, GraphFormatError, cycle_graph, default_labels, induced_subgraph
-from mvdcolor.iso import Labelling, _relabelled, _twin_classes, canonical_form
+from mvdcolor.iso import Labelling, _relabelled, _twin_classes, canonical_labelling
 from mvdcolor.solve import mvd_via_blocks
 
 
@@ -200,17 +202,12 @@ def k_path_bound(g: Graph, a: int, b: int, paths: Sequence[Sequence[int]]) -> in
     return 1 + (g.order - len(paths)) // 2
 
 
-def strip_bound(g: Graph) -> list[tuple[int, int]]:
-    """The thread-strip bound of each thread of g, as (m, bound) pairs.
+def threads(g: Graph) -> list[tuple[int, list[int], int]]:
+    """Each thread of g once, as (a, inner vertices from a's side, b).
 
     A thread is a maximal path whose m >= 1 inner vertices have degree 2,
-    between two nonadjacent vertices of degree >= 3; a cycle has none.  For a
-    2-connected triangle-free g, mvd(g) <= mvd(g - T) + (m - 1) // 2, where
-    g - T drops T's inner vertices: g - T is connected, at most mvd(g - T)
-    classes meet it, every class has >= 2 vertices, and the class that
-    separates T's ends meets both T and g - T, so every class inside T
-    misses one of T's inner vertices."""
-    bounds = []
+    between two nonadjacent vertices a < b of degree >= 3; a cycle has none."""
+    found = []
     for a in range(g.order):
         if len(g.neighbors[a]) < 3:
             continue
@@ -220,9 +217,30 @@ def strip_bound(g: Graph) -> list[tuple[int, int]]:
                 path.append(next(x for x in g.neighbors[path[-1]] if x != path[-2]))
             b, inner = path[-1], path[1:-1]
             if inner and a < b and not g.has_edge(a, b):
-                stripped = induced_subgraph(g, [v for v in range(g.order) if v not in inner])
-                bounds.append((len(inner), mvd_via_blocks(stripped).value + (len(inner) - 1) // 2))
+                found.append((a, inner, b))
+    return found
+
+
+def strip_bound(g: Graph) -> list[tuple[int, int]]:
+    """The thread-strip bound of each thread of g, as (m, bound) pairs.
+
+    For a 2-connected triangle-free g, mvd(g) <= mvd(g - T) + (m - 1) // 2,
+    where g - T drops the m inner vertices of a thread T: g - T is connected,
+    at most mvd(g - T) classes meet it, every class has >= 2 vertices, and the
+    class that separates T's ends meets both T and g - T, so every class inside
+    T misses one of T's inner vertices."""
+    bounds = []
+    for _, inner, _ in threads(g):
+        stripped = induced_subgraph(g, [v for v in range(g.order) if v not in inner])
+        bounds.append((len(inner), mvd_via_blocks(stripped).value + (len(inner) - 1) // 2))
     return bounds
+
+
+def shorten_thread(g: Graph, a: int, inner: Sequence[int]) -> Graph:
+    """g with the thread from a through ``inner`` two inner vertices shorter (needs m >= 3)."""
+    keep = [v for v in range(g.order) if v not in inner[:2]]
+    shorter = induced_subgraph(g, keep)
+    return Graph.from_edges(shorter.labels, shorter.edges() + [(keep.index(a), keep.index(inner[2]))])
 
 
 def restrict(coloring: Mapping[int, int], vertices: Iterable[int]) -> dict[int, int]:
@@ -230,21 +248,54 @@ def restrict(coloring: Mapping[int, int], vertices: Iterable[int]) -> dict[int, 
     return {v: coloring[v] for v in vertices}
 
 
+def _ear_extensions(g: Graph, n: int, pairs: Iterable[tuple[int, int]]) -> Iterator[Graph]:
+    """g with an ear of n - g.order inner vertices between each pair, where the result is minimal."""
+    for a, b in pairs:
+        path = [a, *range(g.order, n), b]
+        candidate = Graph.from_edges(default_labels(n), g.edges() + list(zip(path, path[1:])))
+        if is_minimally_two_connected(candidate):
+            yield candidate
+
+
 def every_pair_minimal_blocks_up_to(max_order: int) -> dict[int, list[Graph]]:
     """The census without symmetry pruning: every smaller block in discovery
     order gets an ear at every vertex pair, lexicographically; each minimal
-    candidate is keyed by ``canonical_form`` and the first one per key kept."""
+    candidate is keyed by its canonical labelling's key and the first one per
+    key kept."""
     orders = range(3, max_order + 1)
-    levels = {n: {canonical_form(cycle_graph(n)): cycle_graph(n)} for n in orders}
+    levels = {n: {canonical_labelling(cycle_graph(n)).key: cycle_graph(n)} for n in orders}
     for n in orders:
         for smaller in range(3, n):
             for g in levels[smaller].values():
-                for a, b in itertools.combinations(range(g.order), 2):
-                    path = [a, *range(g.order, n), b]
-                    candidate = Graph.from_edges(default_labels(n), g.edges() + list(zip(path, path[1:])))
-                    if is_minimally_two_connected(candidate):
-                        levels[n].setdefault(canonical_form(candidate), candidate)
+                for candidate in _ear_extensions(g, n, itertools.combinations(range(g.order), 2)):
+                    levels[n].setdefault(canonical_labelling(candidate).key, candidate)
     return {n: [levels[n][key] for key in sorted(levels[n])] for n in orders}
+
+
+def networkx_minimal_blocks_up_to(max_order: int) -> dict[int, list[Graph]]:
+    """The census deduplicated by networkx's ``is_isomorphic``, with no canonical
+    search: every smaller block gets an ear at every nonadjacent pair (an ear
+    beside an edge makes that edge redundant), and a minimal candidate is kept
+    unless a kept block of its degree sequence is isomorphic to it."""
+    import networkx as nx
+
+    orders = range(3, max_order + 1)
+    kept: dict[int, dict[tuple[int, ...], list[tuple[Graph, object]]]] = {n: {} for n in orders}
+
+    def keep(g: Graph) -> None:
+        h = nx.Graph(g.edges())
+        bucket = kept[g.order].setdefault(tuple(sorted(map(len, g.neighbors))), [])
+        if not any(nx.is_isomorphic(h, other) for _, other in bucket):
+            bucket.append((g, h))
+
+    for n in orders:
+        keep(cycle_graph(n))
+        for smaller in range(3, n):
+            for g, _ in [pair for bucket in kept[smaller].values() for pair in bucket]:
+                pairs = [(a, b) for a, b in itertools.combinations(range(g.order), 2) if not g.has_edge(a, b)]
+                for candidate in _ear_extensions(g, n, pairs):
+                    keep(candidate)
+    return {n: [g for bucket in kept[n].values() for g, _ in bucket] for n in orders}
 
 
 def brute_force_isomorphism(g: Graph, h: Graph) -> Optional[dict[int, int]]:

@@ -29,7 +29,7 @@ from mvdcolor.graph import (
     load_graph,
     path_graph,
 )
-from mvdcolor.iso import canonical_form
+from mvdcolor.iso import canonical_labelling
 from mvdcolor.solve import (
     counting_formula,
     mvd_exact,
@@ -152,7 +152,7 @@ def test_criterion_5_minimal_block_census():
     levels = census_graphs(6)
 
     def keys(graphs):
-        return {canonical_form(g) for g in graphs}
+        return {canonical_labelling(g).key for g in graphs}
 
     assert keys(levels[4]) == keys([cycle_graph(4)])
     assert keys(levels[5]) == keys([cycle_graph(5), theta_graph([1, 1, 1])])
@@ -171,12 +171,12 @@ def _catalog_order_9(tmp_path_factory=None):
 def test_criterion_6_catalog_regeneration(tmp_path):
     t0 = time.time()
     cat = _catalog_order_9()
-    cycles = {n: canonical_form(cycle_graph(n)) for n in range(3, 10)}
+    cycles = {n: canonical_labelling(cycle_graph(n)).key for n in range(3, 10)}
     for entry in cat.entries:
         n = entry.order
         if n >= 4:
             assert entry.mvd_value <= n // 2, entry.id
-            if canonical_form(entry.graph) == cycles[n]:
+            if canonical_labelling(entry.graph).key == cycles[n]:
                 assert entry.mvd_value == n // 2, entry.id
     save_catalog(cat, str(tmp_path))
     again = load_catalog(str(tmp_path))
@@ -316,7 +316,7 @@ def _connected_graphs_up_to_iso(max_n: int) -> dict[int, list[Graph]]:
             for mask in range(1, 1 << (n - 1)):
                 edges = list(base) + [(i, n - 1) for i in range(n - 1) if (mask >> i) & 1]
                 g = Graph.from_edges(labels, edges)
-                seen.setdefault(canonical_form(g), g)
+                seen.setdefault(canonical_labelling(g).key, g)
         out[n] = [seen[k] for k in sorted(seen)]
     return out
 

@@ -29,24 +29,34 @@ from mvdcolor.graph import (
     induced_subgraph,
     triangle_free,
 )
-from mvdcolor.iso import canonical_form, canonical_labelling, find_isomorphism
+from mvdcolor.iso import canonical_labelling
 from mvdcolor.solve import mvd_closed_form, mvd_exact, mvd_via_blocks, solve_block
 from builders import attach_blocks, census_graphs, generate_minimal_blocks, random_connected_graph
-from oracles import every_pair_minimal_blocks_up_to, graphs_of_order, oracle_is_minimally_two_connected, oracle_is_two_connected
+from oracles import (
+    every_pair_minimal_blocks_up_to,
+    graphs_of_order,
+    networkx_minimal_blocks_up_to,
+    oracle_is_minimally_two_connected,
+    oracle_is_two_connected,
+)
+
+
+def key(g):
+    return canonical_labelling(g).key
 
 
 def keyset(graphs):
-    return {canonical_form(g) for g in graphs}
+    return {key(g) for g in graphs}
 
 
 def test_theta_graphs():
-    assert find_isomorphism(theta_graph([2, 1]), cycle_graph(5)) is not None
-    assert find_isomorphism(theta_graph([2, 2]), cycle_graph(6)) is not None
+    assert key(theta_graph([2, 1])) == key(cycle_graph(5))
+    assert key(theta_graph([2, 2])) == key(cycle_graph(6))
     k23 = theta_graph([1, 1, 1])
     assert k23.order == 5 and k23.size == 6
     assert sorted(k23.degree(v) for v in range(5)) == [2, 2, 2, 3, 3]
     # one bare hub-hub edge closes a cycle
-    assert find_isomorphism(theta_graph([1, 0]), cycle_graph(3)) is not None
+    assert key(theta_graph([1, 0])) == key(cycle_graph(3))
 
 
 def test_theta_rejects_degenerate_specs():
@@ -96,7 +106,7 @@ def test_generation_matches_labeled_brute_force_up_to_6():
             minimal = oracle_is_minimally_two_connected(g)
             assert is_minimally_two_connected(g) == minimal, g
             if minimal:
-                expected.add(canonical_form(g))
+                expected.add(key(g))
         if n >= 3:
             assert keyset(generate_minimal_blocks(n)) == expected
 
@@ -104,7 +114,7 @@ def test_generation_matches_labeled_brute_force_up_to_6():
 @pytest.mark.slow
 def test_generation_matches_labeled_brute_force_at_7():
     expected = {
-        canonical_form(g) for g in graphs_of_order(7) if oracle_is_minimally_two_connected(g)
+        key(g) for g in graphs_of_order(7) if oracle_is_minimally_two_connected(g)
     }
     assert keyset(generate_minimal_blocks(7)) == expected
 
@@ -115,6 +125,16 @@ def test_census_counts_are_stable():
     assert {n: len(gs) for n, gs in levels.items()} == {
         3: 1, 4: 1, 5: 2, 6: 3, 7: 6, 8: 12, 9: 28, 10: 68, 11: 184, 12: 526,
     }
+
+
+@pytest.mark.parametrize("max_order", [10, pytest.param(11, marks=pytest.mark.slow)])
+def test_census_counts_match_a_networkx_dedupe(max_order):
+    # the census built again with networkx's ``is_isomorphic`` in place of the canonical search
+    pytest.importorskip("networkx")
+    levels, census = networkx_minimal_blocks_up_to(max_order), census_graphs(max_order)
+    counts = {3: 1, 4: 1, 5: 2, 6: 3, 7: 6, 8: 12, 9: 28, 10: 68, 11: 184}
+    assert {n: len(gs) for n, gs in levels.items()} == {n: counts[n] for n in range(3, max_order + 1)}
+    assert all(keyset(levels[n]) == keyset(census[n]) for n in levels)
 
 
 def assert_same_census(max_order):
@@ -204,7 +224,7 @@ def test_all_thetas_appear_in_generation():
                 if any(m < 1 for m in ms):
                     continue
                 g = theta_graph(ms)
-                assert canonical_form(g) in generated[g.order], ms
+                assert key(g) in generated[g.order], ms
 
 
 def test_generation_rejects_out_of_range():
@@ -233,12 +253,12 @@ def test_build_catalog_small():
 
 def test_build_catalog_known_values():
     cat = build_catalog(8)
-    by_key = {canonical_form(e.graph): e for e in cat.entries}
-    assert by_key[canonical_form(cycle_graph(8))].mvd_value == 4
-    assert by_key[canonical_form(theta_graph([2, 1, 1]))].mvd_value == 2
-    assert by_key[canonical_form(theta_graph([3, 1, 1]))].mvd_value == 3
+    by_key = {key(e.graph): e for e in cat.entries}
+    assert by_key[key(cycle_graph(8))].mvd_value == 4
+    assert by_key[key(theta_graph([2, 1, 1]))].mvd_value == 2
+    assert by_key[key(theta_graph([3, 1, 1]))].mvd_value == 3
     cycles_equal = {
-        n: by_key[canonical_form(cycle_graph(n))].mvd_value == n // 2 for n in range(4, 9)
+        n: by_key[key(cycle_graph(n))].mvd_value == n // 2 for n in range(4, 9)
     }
     assert all(cycles_equal.values())
 

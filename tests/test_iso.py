@@ -3,13 +3,15 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from collections import Counter
+from typing import Optional
 
 import pytest
 
-from mvdcolor.catalog import theta_graph
+from mvdcolor.blocks import Block, decompose
+from mvdcolor.catalog import Catalog, CatalogEntry, theta_graph
 from mvdcolor.graph import (
     Graph,
-    GuardError,
     complete_graph,
     cycle_graph,
     default_labels,
@@ -17,16 +19,10 @@ from mvdcolor.graph import (
     load_graph,
     path_graph,
 )
-from mvdcolor.iso import (
-    CANONICAL_MAX_ORDER,
-    _Partition,
-    canonical_form,
-    canonical_labelling,
-    find_isomorphism,
-    transfer_coloring,
-)
+from mvdcolor.iso import _Partition, canonical_labelling
+from mvdcolor.solve import mvd_closed_form, mvd_exact, mvd_via_blocks, solve_block
 from mvdcolor.verify import is_mvd_coloring
-from builders import census_graphs, random_connected_graph, random_tree, star_graph
+from builders import attach_blocks, census_graphs, random_connected_graph, random_tree, star_graph
 from oracles import brute_force_isomorphism, reference_canonical_labelling
 
 
@@ -36,15 +32,25 @@ def shuffled_copy(g, rng):
     return induced_subgraph(g, perm)
 
 
+def labelling_map(g: Graph, h: Graph) -> Optional[dict[int, int]]:
+    """g's canonical order paired with h's, position by position, when their relabelled graphs are equal."""
+    a, b = canonical_labelling(g), canonical_labelling(h)
+    return dict(zip(a.order, b.order)) if a.relabelled == b.relabelled else None
+
+
+def key(g: Graph) -> str:
+    return canonical_labelling(g).key
+
+
 def test_degree_sequence_mismatch():
-    assert find_isomorphism(cycle_graph(4), star_graph(3)) is None
+    assert labelling_map(cycle_graph(4), star_graph(3)) is None
 
 
 def test_example_block_matches_resource_graph(data_dir):
     g, _ = load_graph(str(data_dir / "example17.txt"))
     resource, _ = load_graph(str(data_dir / "typeset9" / "graph_9Vertex-9.txt"))
     block = induced_subgraph(g, [g.index_of(lab) for lab in "KPJNHGFEA"])
-    mapping = find_isomorphism(block, resource)
+    mapping = labelling_map(block, resource)
     assert mapping is not None
     for u in range(block.order):
         for v in range(u + 1, block.order):
@@ -55,7 +61,7 @@ def test_relabeled_cycle_matches():
     rng = random.Random(1)
     c5 = cycle_graph(5)
     other = shuffled_copy(c5, rng)
-    mapping = find_isomorphism(c5, other)
+    mapping = labelling_map(c5, other)
     assert mapping is not None
     assert sorted(mapping.values()) == list(range(5))
 
@@ -70,7 +76,7 @@ def test_matcher_agrees_with_permutation_brute_force():
             h = shuffled_copy(g, rng)
         else:
             h = random_connected_graph(rng, n)
-        got = find_isomorphism(g, h)
+        got = labelling_map(g, h)
         want = brute_force_isomorphism(g, h)
         assert (got is None) == (want is None)
         if got is not None:
@@ -83,26 +89,27 @@ def test_matcher_agrees_with_permutation_brute_force():
 def test_canonical_form_examples():
     rng = random.Random(9)
     c4 = cycle_graph(4)
-    assert canonical_form(c4) == canonical_form(shuffled_copy(c4, rng))
-    assert canonical_form(c4) != canonical_form(path_graph(4))
-    # non-isomorphic thetas of equal order, confirmed by the matcher
+    assert key(c4) == key(shuffled_copy(c4, rng))
+    assert key(c4) != key(path_graph(4))
+    # non-isomorphic thetas of equal order, confirmed by the permutation oracle
     a, b = theta_graph([2, 1, 1]), theta_graph([1, 1, 1, 1])
-    assert find_isomorphism(a, b) is None
-    assert canonical_form(a) != canonical_form(b)
+    assert brute_force_isomorphism(a, b) is None
+    assert key(a) != key(b)
 
 
 def test_canonical_form_invariant_under_relabeling():
     rng = random.Random(27)
     for trial in range(8):
         g = random_connected_graph(rng, rng.randint(2, 8))
-        key = canonical_form(g)
+        want = key(g)
         for _ in range(50):
-            assert canonical_form(shuffled_copy(g, rng)) == key
+            assert key(shuffled_copy(g, rng)) == want
 
 
-def test_canonical_form_guard():
-    with pytest.raises(GuardError):
-        canonical_form(path_graph(13))
+def test_order_13_path_and_shuffled_copy_share_a_key():
+    # the key has no order guard: the search is bounded by its node budget alone
+    g = path_graph(13)
+    assert key(g) == key(shuffled_copy(g, random.Random(13))) != key(cycle_graph(13))
 
 
 def test_canonical_form_separates_nonisomorphic_small_graphs():
@@ -111,17 +118,16 @@ def test_canonical_form_separates_nonisomorphic_small_graphs():
         n = rng.randint(2, 6)
         g = random_connected_graph(rng, n)
         h = random_connected_graph(rng, n)
-        same_key = canonical_form(g) == canonical_form(h)
+        same_key = key(g) == key(h)
         assert same_key == (brute_force_isomorphism(g, h) is not None)
 
 
 def test_canonical_form_handles_heavy_twin_symmetry():
     # complete bipartite hubs: factorial many equal orderings without twin pruning
     g = theta_graph([1] * 8)  # K_{2,8}
-    key = canonical_form(g)
     rng = random.Random(5)
-    assert canonical_form(shuffled_copy(g, rng)) == key
-    assert canonical_form(complete_graph(10)) == canonical_form(complete_graph(10))
+    assert key(shuffled_copy(g, rng)) == key(g)
+    assert key(complete_graph(10)) == key(complete_graph(10))
 
 
 def with_twins(rng: random.Random, g: Graph, count: int) -> Graph:
@@ -154,48 +160,57 @@ def test_returned_automorphisms_map_edges_onto_edges():
 
 
 def test_labelling_key_is_canonical_form():
+    # ``n|bits``: adjacency of each pair of the canonical order, row by row below the diagonal
     rng = random.Random(12)
     for _ in range(40):
         g = random_connected_graph(rng, rng.randint(2, 9))
-        assert canonical_labelling(g).key == canonical_form(g)
+        order = canonical_labelling(g).order
+        bits = "".join("1" if g.has_edge(order[i], order[j]) else "0" for i in range(g.order) for j in range(i))
+        assert key(g) == f"{g.order}|{bits}"
+
+
+def _catalog_block_of_order_7() -> tuple[Catalog, Graph]:
+    """A catalog holding the one order-7 minimal block no closed form answers, and a relabelled copy."""
+    (block,) = [g for g in census_graphs(7)[7] if mvd_closed_form(g) is None]
+    cat = Catalog()
+    cat.add(CatalogEntry("b7", block, mvd_exact(block).coloring))
+    return cat, shuffled_copy(block, random.Random(77))
 
 
 def test_transfer_coloring():
-    identity = {v: v for v in range(4)}
-    source = {0: 1, 1: 2, 2: 1, 3: 2}
-    assert transfer_coloring(identity, source) == source
-
-    rng = random.Random(77)
-    c6 = cycle_graph(6)
-    relabeled = shuffled_copy(c6, rng)
-    mapping = find_isomorphism(c6, relabeled)
-    colors = {v: (v % 3) + 1 for v in range(6)}
-    moved = transfer_coloring(mapping, colors)
-    sizes = sorted(list(moved.values()).count(c) for c in set(moved.values()))
-    assert sizes == sorted(list(colors.values()).count(c) for c in set(colors.values()))
+    # a catalog answer is the entry's coloring pulled back along the lookup's vertex map
+    cat, relabelled = _catalog_block_of_order_7()
+    entry, mapping = cat.lookup(relabelled)
+    result = solve_block(Block(tuple(range(relabelled.order)), relabelled), cat)
+    assert result.method == "catalog:b7"
+    assert result.coloring == {v: entry.coloring[mapping[v]] for v in range(relabelled.order)}
+    sizes = Counter(Counter(result.coloring.values()).values())
+    assert sizes == Counter(Counter(entry.coloring.values()).values())
+    assert is_mvd_coloring(relabelled, result.coloring).ok
 
 
 def test_transferred_catalog_coloring_verifies_on_block(data_dir):
     g, _ = load_graph(str(data_dir / "example17.txt"))
     resource, coloring = load_graph(str(data_dir / "typeset9" / "graph_9Vertex-11.txt"))
     block = induced_subgraph(g, [g.index_of(lab) for lab in "IMDOCLQBH"])
-    mapping = find_isomorphism(block, resource)
+    mapping = labelling_map(block, resource)
     assert mapping is not None
-    moved = transfer_coloring(mapping, coloring)
-    assert is_mvd_coloring(block, moved).ok
+    assert is_mvd_coloring(block, {v: coloring[w] for v, w in mapping.items()}).ok
 
 
 def test_transfer_commutes_with_restriction():
-    rng = random.Random(88)
-    g = random_connected_graph(rng, 6)
-    h = shuffled_copy(g, rng)
-    mapping = find_isomorphism(g, h)
-    source = {v: rng.randint(1, 3) for v in range(6)}
-    moved = transfer_coloring(mapping, source)
-    subset = [0, 2, 4]
-    a = {v: moved[v] for v in subset}
-    b = {v: source[mapping[v]] for v in subset}
-    assert a == b
+    # stitching renames colors but keeps each block's classes: the glued graph's coloring,
+    # restricted to the catalog block, has the classes of the pulled-back entry coloring
+    cat, relabelled = _catalog_block_of_order_7()
+    glued = attach_blocks(random.Random(88), [relabelled, cycle_graph(5)], 4)
+    result = mvd_via_blocks(glued, cat)
+    for block, how in zip(decompose(glued).blocks, result.block_methods):
+        if how == "catalog:b7":
+            alone = solve_block(block, cat).coloring
+            classes = {frozenset(v for v in alone if alone[v] == c) for c in alone.values()}
+            local = {i: result.coloring[v] for i, v in enumerate(block.vertices)}
+            assert {frozenset(v for v in local if local[v] == c) for c in local.values()} == classes
+    assert "catalog:b7" in result.block_methods
 
 
 def srg_16_6_2_2_pair() -> tuple[Graph, Graph]:
@@ -247,13 +262,12 @@ def test_search_agrees_with_networkx():
     pairs.append((shrikhande, rook))
     for g, h in pairs:
         want = nx.is_isomorphic(to_nx(g), to_nx(h))
-        mapping = find_isomorphism(g, h)
+        mapping = labelling_map(g, h)
         assert (mapping is not None) == want
         if mapping is not None:
             assert sorted(mapping.values()) == list(range(h.order))
             assert all(h.has_edge(mapping[u], mapping[v]) for u, v in g.edges())
-        keys = [canonical_form(x) if x.order <= CANONICAL_MAX_ORDER else canonical_labelling(x)[1] for x in (g, h)]
-        assert (keys[0] == keys[1]) == want
+        assert (key(g) == key(h)) == want
 
 
 def cubic(rng: random.Random, n: int, offset: int = 0) -> list[tuple[int, int]]:
@@ -316,6 +330,9 @@ def test_canonical_labelling_large_sparse_within_budget(name, budget):
     pos = {v: i for i, v in enumerate(labelling.order)}
     assert sorted(labelling.order) == list(range(g.order))
     assert labelling.relabelled == tuple(tuple(sorted(pos[w] for w in g.neighbors[v])) for v in labelling.order)
+    h = shuffled_copy(g, random.Random(2))  # outside the budget: a shuffled copy maps edges onto edges
+    mapping = labelling_map(g, h)
+    assert mapping is not None and all(h.has_edge(mapping[u], mapping[v]) for u, v in g.edges())
     assert ok, line
 
 

@@ -6,6 +6,7 @@ Only module-level ``from .x import`` statements count; imports under
 
 from __future__ import annotations
 
+import argparse
 import ast
 import graphlib
 from pathlib import Path
@@ -73,6 +74,30 @@ def test_connectivity_has_one_search():
     }
     assert {name for _, name in defined} >= {"_dfs_engine", "decompose"}
     assert not {pair for pair in defined if pair[1] in {"is_connected", "_reach_mask", "is_two_connected"}}
+
+
+def _public_names(path: Path) -> set[str]:
+    """Names a module defines at top level (functions, classes, assignments) without a leading underscore."""
+    names: set[str] = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+    return {name for name in names if not name.startswith("_")}
+
+
+def test_iso_offers_only_the_canonical_search():
+    # the paper looks each block up in a type set; the catalog's lookup is the only isomorphism step
+    import mvdcolor
+    from mvdcolor.cli import build_parser
+
+    assert _public_names(SRC / "iso.py") == {"canonical_labelling", "Labelling", "MAX_SEARCH_NODES"}
+    exported_from_iso = {name for name in mvdcolor.__all__ if getattr(mvdcolor, name).__module__ == "mvdcolor.iso"}
+    assert exported_from_iso == set()
+    assert not set(mvdcolor.__all__) & {"find_isomorphism", "canonical_form", "transfer_coloring"}
+    (commands,) = [a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert "iso" not in commands and "solve" in commands
 
 
 def _is_super_call(node: ast.expr) -> bool:

@@ -57,7 +57,9 @@ from oracles import (
     oracle_is_two_connected,
     partitions_into_k_classes,
     restrict,
+    shorten_thread,
     strip_bound,
+    threads,
 )
 
 
@@ -682,13 +684,39 @@ def test_walk_runs_deep_without_recursion():
 def test_census_values_at_orders_11_and_12(n, tally):
     # every minimal block of order n, solved as ``mvdcolor solve`` solves a block.  The 526 solves at
     # order 12 take about 1.3 s on 2 vCPUs; with each block renumbered in DFS order they took 12.5-14.6 s
+    assert_census_tally(n, tally, 6.0)
+
+
+@pytest.mark.slow
+def test_census_values_at_order_13():
+    # past the catalog's generation limit: 1,602 blocks, about 8.3 s of solves on 2 vCPUs
+    assert_census_tally(13, {2: 456, 3: 742, 4: 329, 5: 70, 6: 5}, 30.0)
+
+
+def assert_census_tally(n: int, tally: dict[int, int], budget: float) -> None:
     census = every_pair_minimal_blocks_up_to(n)[n]
     start = time.perf_counter()
     values = [solve_block(decompose(g).blocks[0], None).value for g in census]
     elapsed = time.perf_counter() - start
     assert Counter(values) == tally
     assert max(values) <= n // 2
-    assert elapsed < 6.0, f"{len(census)} block solves took {elapsed:.1f} s"
+    assert elapsed < budget, f"{len(census)} block solves took {elapsed:.1f} s"
+
+
+def test_shortening_a_long_thread_by_two_lowers_the_value_by_one():
+    # a conjecture on minimal blocks, pinned as a fact of the census to order 12 that the solver
+    # never reads: every thread of m >= 3 inner vertices, symmetric threads not merged
+    shortened = Counter()
+    for n, blocks in census_graphs(12).items():
+        for g in blocks:
+            long_threads = [(a, inner) for a, inner, _ in threads(g) if len(inner) >= 3]
+            value = mvd_via_blocks(g).value if long_threads else None
+            for a, inner in long_threads:
+                shorter = shorten_thread(g, a, inner)
+                assert shorter.order == n - 2 and is_minimally_two_connected(shorter)
+                assert mvd_via_blocks(shorter).value == value - 1, (g.edges(), a, inner)
+                shortened[n] += 1
+    assert shortened == {7: 1, 8: 3, 9: 9, 10: 23, 11: 67, 12: 193}
 
 
 @pytest.mark.parametrize(
