@@ -32,7 +32,7 @@ def main() -> None:
     cuts = sorted(g.labels[v] for v in dec.cut_vertices)
     print(f"cut vertices: {', '.join(cuts) if cuts else '(none)'}")
     for i, block in enumerate(dec.blocks, start=1):
-        print(f"block {i}: {', '.join(sorted(block.graph.labels))}")
+        print(f"block {i}: {', '.join(sorted(block.labels))}")
 
     catalog = load_catalog(args.catalog)
     print(f"type set: {len(catalog)} entries")

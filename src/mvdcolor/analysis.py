@@ -62,7 +62,7 @@ def _gate(dec: BlockDecomposition) -> Optional[tuple[str, ...]]:
         if block.trivial:
             continue
         if not is_minimally_two_connected(block.graph) or not triangle_free(block.graph):
-            return tuple(sorted(block.graph.labels))
+            return tuple(sorted(block.labels))
     return None
 
 

@@ -6,28 +6,49 @@ again without each edge whose removal is in doubt.  The search explores from
 vertex 0 with neighbors in ascending index order, so blocks and cut vertices
 come out deterministically.  ``decompose`` lists each block's vertices in
 ascending order, so a 2-connected graph's one block is that graph itself.
+It builds no graph for a block: a block's subgraph is built when a caller
+first reads it, and a trivial block, a K2, is answered from its vertices.
 An explicit stack lets the search survive paths too long for recursion.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
-from .graph import Graph, induced_subgraph
+from .graph import Graph, _induced
 
 
 @dataclass(frozen=True)
 class Block:
-    """One block: its parent-graph vertices, ascending, and the subgraph they
-    induce, a copy even when it is the whole graph (no reference cycle)."""
+    """One block of a parent graph: its parent-graph vertices, ascending, and
+    the subgraph they induce, built on first read and then kept.  The block
+    keeps the parent's label and adjacency tuples, not the parent, so the
+    decomposition kept on a graph holds no reference back to it."""
 
     vertices: tuple[int, ...]
-    graph: Graph
+    parent: InitVar[Graph]
+    parent_labels: tuple[str, ...] = field(init=False, repr=False)
+    parent_neighbors: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+
+    def __post_init__(self, parent: Graph) -> None:
+        object.__setattr__(self, "parent_labels", parent.labels)
+        object.__setattr__(self, "parent_neighbors", parent.neighbors)
 
     @property
     def trivial(self) -> bool:
-        return self.graph.order == 2
+        """A K2: a connected graph's block of two vertices is one edge."""
+        return len(self.vertices) == 2
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        """The parent's labels of the block's vertices, in block order."""
+        return tuple(map(self.parent_labels.__getitem__, self.vertices))
+
+    @cached_property
+    def graph(self) -> Graph:
+        return _induced(self.parent_labels, self.parent_neighbors, self.vertices)
 
 
 @dataclass(frozen=True)
@@ -143,15 +164,16 @@ def is_minimally_two_connected(g: Graph) -> bool:
 
 def decompose(g: Graph) -> BlockDecomposition:
     """All blocks and cut vertices of a connected graph of order >= 2, found
-    once per graph and kept on it, outside its fields.  The search tests
-    connectivity: a connected graph's r blocks hold n + r - 1 vertex slots."""
+    once per graph and kept on it, outside its fields, with no block's graph
+    built.  The search tests connectivity: a connected graph's r blocks hold
+    n + r - 1 vertex slots."""
     if "_decomposition" not in vars(g):
         if g.order < 2:
             raise ValueError("block decomposition needs at least 2 vertices")
         raw_blocks, cuts = _dfs_engine(g.neighbors, root=0)
         if sum(map(len, raw_blocks)) - len(raw_blocks) + 1 != g.order:
             raise ValueError("block decomposition needs a connected graph")
-        blocks = tuple(Block(vs, induced_subgraph(g, vs)) for vs in map(tuple, map(sorted, raw_blocks)))
+        blocks = tuple(Block(vs, g) for vs in map(tuple, map(sorted, raw_blocks)))
         vars(g)["_decomposition"] = BlockDecomposition(blocks, frozenset(cuts))
     return vars(g)["_decomposition"]
 

@@ -14,7 +14,8 @@ the theta with two threads) in closed form with ``solve.mvd_closed_form``
 and every other block with ``mvd_exact``.
 Every entry's coloring is certified before it is indexed, whether it comes
 through ``Catalog.add`` or from ``build_catalog``: it passes, and it is
-optimal (``add`` solves each entry; a built entry is solved to be made).
+optimal (``add`` shows that no coloring has one color more; a built entry is
+solved to be made).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Iterable, Optional, Sequence
 from .blocks import is_minimally_two_connected
 from .graph import Graph, GuardError, cycle_graph, default_labels, format_matrix, parse_matrix
 from .iso import Labelling, canonical_labelling
-from .solve import mvd_closed_form, mvd_exact
+from .solve import _value_exceeds, mvd_closed_form, mvd_exact
 from .verify import color_count, is_mvd_coloring
 
 GENERATION_MIN_ORDER = 3
@@ -139,11 +140,15 @@ class Catalog:
 
     ``add`` is the only public way in: it certifies the entry's coloring
     (``_certify``, by ``is_mvd_coloring``, which refuses a disconnected
-    graph), solves the graph and refuses fewer colors than its value, labels
-    the graph and indexes it (``_index``), so every coloring passes and is
-    optimal, and no two entries are isomorphic.  ``build_catalog`` solves
-    each entry to make it, so it runs only the certify and index steps,
-    indexing with the labelling that census generation already computed.
+    graph), refuses fewer colors than the graph's value, labels the graph
+    and indexes it (``_index``), so every coloring passes and is optimal,
+    and no two entries are isomorphic.  A passing coloring of k colors
+    shows the value is at least k, so it is the value unless a closed form
+    says more or one walk at k + 1 finds a passing partition
+    (``solve._value_exceeds``); only then is the graph solved, to name its
+    value.  ``build_catalog`` solves each entry to make it, so it runs only
+    the certify and index steps, indexing with the labelling that census
+    generation already computed.
     """
 
     entries: list[CatalogEntry] = field(default_factory=list)
@@ -152,13 +157,14 @@ class Catalog:
 
     def add(self, entry: CatalogEntry) -> None:
         self._certify(entry)
-        g = entry.graph
+        g, count = entry.graph, entry.mvd_value
         try:
-            value = (mvd_closed_form(g) or mvd_exact(g)).value
+            closed = mvd_closed_form(g)
+            if (closed.value > count) if closed else _value_exceeds(g, count):
+                value = (closed or mvd_exact(g)).value
+                raise CatalogError(f"entry {entry.id!r} is not optimal: color count {count}, graph's value {value}")
         except GuardError as exc:
             raise CatalogError(f"entry {entry.id!r} cannot be certified optimal: {exc}") from exc
-        if entry.mvd_value < value:
-            raise CatalogError(f"entry {entry.id!r} is not optimal: color count {entry.mvd_value}, graph's value {value}")
         self._index(entry, canonical_labelling(g))
 
     @staticmethod
@@ -246,8 +252,9 @@ def load_catalog(directory: str) -> Catalog:
     """Read every entry file but the census and add it; errors name the file.
 
     Each stored coloring is certified to pass and to use as many colors as
-    its graph's solved value, which is then the entry's value.  Entries need
-    not be minimal blocks; any graph with an optimal passing coloring loads.
+    its graph's value (see ``Catalog``), which is then the entry's value.
+    Entries need not be minimal blocks; any graph with an optimal passing
+    coloring loads.
     """
     cat = Catalog()
     names = sorted(f for f in os.listdir(directory) if f.endswith(".txt") and f != CENSUS_FILE)

@@ -84,7 +84,7 @@ def _cmd_decompose(args) -> tuple[list[str], dict, int]:
     lines.append("cut vertices: " + (", ".join(cut_labels) if cut_labels else "(none)"))
     report_blocks = []
     for i, block in enumerate(dec.blocks, start=1):
-        labels = sorted(block.graph.labels)
+        labels = sorted(block.labels)
         kind = "trivial" if block.trivial else "nontrivial"
         lines.append(f"block {i} ({kind}): {', '.join(labels)}")
         ordered = induced_subgraph(g, sorted(block.vertices, key=lambda v: g.labels[v]))
@@ -106,7 +106,7 @@ def _cmd_solve(args) -> tuple[list[str], dict, int]:
     lines = [_digest_line(g), f"mvd = {result.value}", f"method: {result.method}"]
     report_blocks = []
     for i, (block, how) in enumerate(zip(decompose(g).blocks, result.block_methods), start=1):
-        labels = sorted(block.graph.labels)
+        labels = sorted(block.labels)
         lines.append(f"block {i} {{{', '.join(labels)}}}: {how}")
         report_blocks.append({"labels": labels, "method": how})
     lines.append("coloring:")
@@ -217,7 +217,7 @@ def _cmd_export_dot(args) -> tuple[list[str], dict, int]:
     g, embedded = load_graph(args.graph)
     coloring = _load_coloring_file(args.coloring, g) if args.coloring else embedded
     if coloring is not None:
-        _require_total(g, coloring)
+        _require_total(g.labels, coloring)
     text = to_dot(g, coloring)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text)

@@ -149,9 +149,15 @@ def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
     for v in vertices:
         if not 0 <= v < g.order:
             raise ValueError(f"vertex index {v} not in graph")
+    return _induced(g.labels, g.neighbors, vertices)
+
+
+def _induced(labels: Sequence[str], neighbors: Sequence[Sequence[int]], vertices: Sequence[int]) -> Graph:
+    """``induced_subgraph`` of the graph with these labels and adjacency, for
+    distinct vertices already known to lie in it."""
     pos = {v: i for i, v in enumerate(vertices)}
-    nbrs = tuple(tuple(sorted(pos[w] for w in g.neighbors[u] if w in pos)) for u in vertices)
-    return Graph._unchecked(tuple(g.labels[v] for v in vertices), nbrs)
+    nbrs = tuple(tuple(sorted(pos[w] for w in neighbors[u] if w in pos)) for u in vertices)
+    return Graph._unchecked(tuple(labels[v] for v in vertices), nbrs)
 
 
 def is_complete(g: Graph) -> bool:

@@ -160,6 +160,18 @@ def mvd_exact(g: Graph) -> MvdResult:
     return MvdResult(len(found), {v: c + 1 for c, mask in enumerate(found) for v in _bits(mask)}, "exact")
 
 
+def _value_exceeds(g: Graph, k: int) -> bool:
+    """Whether mvd(g) > k, for a connected g of order >= 2 and k >= 1: by
+    coarsening monotonicity (see ``mvd_exact``), whether some partition into
+    k + 1 classes passes.  One walk at k + 1 answers it, pruned from the
+    fourth vertex as the ascent is, under ``mvd_exact``'s budget."""
+    n = g.order
+    if k >= n:
+        return False
+    masks, _ = _walk(g, pair_rows(g), {}, k + 1, 3, MAX_WALK_STEPS // n)
+    return masks is not None
+
+
 def _theta_coloring(threads: Sequence[Sequence[int]]) -> dict[int, int]:
     """A passing coloring of the theta graph with these k >= 2 threads (walks
     from hub a to hub b, each with an inner vertex); k = 2 is a cycle.
@@ -277,14 +289,16 @@ def stitch_colorings(dec: BlockDecomposition, per_block: Sequence[Mapping[int, i
     bad block coloring and a stitching fault alike, and the first failing
     block is named with its least failing pair.  By the block lemma (see
     ``verify``) the whole graph then passes.  A trivial block, a K2, has no
-    nonadjacent pair, so only its local coloring's totality is checked.
+    nonadjacent pair, so only its local coloring's totality is checked, from
+    its vertices: stitching reads a block's graph only to check a nontrivial
+    block.
     """
     if len(per_block) != dec.r:
         raise ValueError(f"expected {dec.r} block colorings, got {len(per_block)}")
     global_coloring: dict[int, int] = {}
     next_color = 1
     for block, local in zip(reversed(dec.blocks), reversed(per_block)):
-        _require_total(block.graph, local)
+        _require_total(block.labels, local)
         rename = {local[i]: global_coloring[v] for i, v in enumerate(block.vertices) if v in global_coloring}
         for c in sorted(set(local.values())):
             if c not in rename:
@@ -293,11 +307,11 @@ def stitch_colorings(dec: BlockDecomposition, per_block: Sequence[Mapping[int, i
         for local_v, parent_v in enumerate(block.vertices):
             global_coloring[parent_v] = rename[local[local_v]]
     for block, (x, y) in verify.block_failures(dec, global_coloring):
-        bg = block.graph
+        labels = block.labels
         raise ValueError(
             "block coloring fails verification on block "
-            f"{{{', '.join(sorted(bg.labels))}}}: "
-            f"no monochromatic cut for {bg.labels[x]!r},{bg.labels[y]!r}"
+            f"{{{', '.join(sorted(labels))}}}: "
+            f"no monochromatic cut for {labels[x]!r},{labels[y]!r}"
         )
     return global_coloring
 
@@ -308,10 +322,11 @@ def solve_block(block: Block, catalog: Optional[Catalog]) -> MvdResult:
 
     The result's ``method`` is the block's trail entry: ``trivial``,
     ``closed-form``, ``catalog:<id>`` naming the matched entry, or ``exact``.
+    A trivial block is answered before its graph is read, so none is built.
     """
-    bg = block.graph
     if block.trivial:
         return MvdResult(2, {0: 1, 1: 2}, "trivial")
+    bg = block.graph
     closed = mvd_closed_form(bg)
     if closed is not None:
         return closed

@@ -53,12 +53,12 @@ class MvdVerdict:
         return _certificate(self.graph, self.colors) if self.ok else None
 
 
-def _require_total(g: Graph, coloring: Mapping[int, int]) -> None:
-    missing = [g.labels[v] for v in range(g.order) if v not in coloring]
+def _require_total(labels: Sequence[str], coloring: Mapping[int, int]) -> None:
+    missing = [lab for v, lab in enumerate(labels) if v not in coloring]
     if missing:
         raise ValueError(f"coloring misses vertices: {', '.join(sorted(missing))}")
     for v, c in coloring.items():
-        if not (0 <= v < g.order):
+        if not (0 <= v < len(labels)):
             raise ValueError(f"coloring mentions unknown vertex index {v}")
         if c < 1:
             raise ValueError(f"colors must be positive, got {c}")
@@ -139,7 +139,7 @@ def monochromatic_cut_exists(
         decompose(g)
     except ValueError:  # x and y are two vertices, so g is not connected
         raise ValueError("monochromatic cuts are defined on connected graphs") from None
-    _require_total(g, coloring)
+    _require_total(g.labels, coloring)
     for color, class_mask in _classes(coloring[v] for v in range(g.order)):
         if not class_view(g, class_mask)[x] >> y & 1:
             return color
@@ -176,17 +176,22 @@ def is_mvd_coloring(g: Graph, coloring: Mapping[int, int]) -> MvdVerdict:
     vacuously.  By the block lemma the failing pairs of g are those of its
     blocks, so the witness is the least of them, in label order, over the
     blocks that fail.  The certificate is built when first read.  The blocks,
-    which also show that g is connected, are those ``decompose`` kept on g."""
+    which also show that g is connected, are those ``decompose`` kept on g.
+    A graph that is its own one block is checked in place, with no copy."""
     if g.order < 2:
         raise ValueError("verification needs at least 2 vertices")
     try:
         dec = decompose(g)
     except ValueError:  # g has order >= 2, so it is not connected
         raise ValueError("verification needs a connected graph") from None
-    _require_total(g, coloring)
-    pairs = [(block.vertices[x], block.vertices[y]) for block, (x, y) in block_failures(dec, coloring)]
-    witness = min(pairs, key=lambda pair: (g.labels[pair[0]], g.labels[pair[1]]), default=None)
-    return MvdVerdict(witness is None, witness, g, tuple(coloring[v] for v in range(g.order)))
+    _require_total(g.labels, coloring)
+    colors = tuple(coloring[v] for v in range(g.order))
+    if dec.r == 1:  # the block lists g's vertices in g's order
+        witness = _failing_pair(g, colors)
+    else:
+        pairs = [(block.vertices[x], block.vertices[y]) for block, (x, y) in block_failures(dec, coloring)]
+        witness = min(pairs, key=lambda pair: (g.labels[pair[0]], g.labels[pair[1]]), default=None)
+    return MvdVerdict(witness is None, witness, g, colors)
 
 
 def partition_passes(

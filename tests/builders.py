@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from typing import Sequence
@@ -88,8 +89,15 @@ def format_edge_list(g: Graph) -> str:
 
 
 def census_graphs(max_order: int) -> dict[int, list[Graph]]:
-    """The census of minimal blocks of orders 3..max_order, without their labellings."""
-    return {n: [g for g, _ in found] for n, found in generate_minimal_blocks_up_to(max_order).items()}
+    """The census of minimal blocks of orders 3..max_order, without their
+    labellings: generated once per max order in a test session, and handed
+    out as new lists, so no test can change what another reads."""
+    return {n: list(gs) for n, gs in _census(max_order).items()}
+
+
+@functools.cache
+def _census(max_order: int) -> dict[int, tuple[Graph, ...]]:
+    return {n: tuple(g for g, _ in found) for n, found in generate_minimal_blocks_up_to(max_order).items()}
 
 
 def generate_minimal_blocks(n: int) -> list[Graph]:

@@ -20,6 +20,7 @@ networkx's ``is_isomorphic`` in place of the library's canonical search.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -261,7 +262,13 @@ def every_pair_minimal_blocks_up_to(max_order: int) -> dict[int, list[Graph]]:
     """The census without symmetry pruning: every smaller block in discovery
     order gets an ear at every vertex pair, lexicographically; each minimal
     candidate is keyed by its canonical labelling's key and the first one per
-    key kept."""
+    key kept.  Built once per max order in a test session, and handed out as
+    new lists."""
+    return {n: list(gs) for n, gs in _every_pair_levels(max_order).items()}
+
+
+@functools.cache
+def _every_pair_levels(max_order: int) -> dict[int, tuple[Graph, ...]]:
     orders = range(3, max_order + 1)
     levels = {n: {canonical_labelling(cycle_graph(n)).key: cycle_graph(n)} for n in orders}
     for n in orders:
@@ -269,7 +276,7 @@ def every_pair_minimal_blocks_up_to(max_order: int) -> dict[int, list[Graph]]:
             for g in levels[smaller].values():
                 for candidate in _ear_extensions(g, n, itertools.combinations(range(g.order), 2)):
                     levels[n].setdefault(canonical_labelling(candidate).key, candidate)
-    return {n: [levels[n][key] for key in sorted(levels[n])] for n in orders}
+    return {n: tuple(levels[n][key] for key in sorted(levels[n])) for n in orders}
 
 
 def networkx_minimal_blocks_up_to(max_order: int) -> dict[int, list[Graph]]:

@@ -7,7 +7,7 @@ import pytest
 from mvdcolor.blocks import decompose
 from mvdcolor.catalog import is_minimally_two_connected, theta_graph
 from mvdcolor.graph import Graph, cycle_graph, load_graph, path_graph
-from builders import attach_blocks, census_graphs, random_connected_graph, star_graph
+from builders import attach_blocks, census_graphs, random_cactus, random_connected_graph, random_tree, star_graph
 from oracles import naive_cut_vertices, oracle_is_two_connected
 
 
@@ -200,6 +200,56 @@ def _count_block_searches(monkeypatch) -> list:
     real = blocks_module._dfs_engine
     monkeypatch.setattr(blocks_module, "_dfs_engine", lambda neighbors, root: seen.append(neighbors) or real(neighbors, root))
     return seen
+
+
+def _count_graph_builds(monkeypatch) -> list:
+    """The labels of every graph built from here on: each builder in ``graph``,
+    the block's included, ends in ``Graph._unchecked``."""
+    seen = []
+    real = Graph._unchecked
+    monkeypatch.setattr(Graph, "_unchecked", classmethod(lambda cls, labels, nbrs: seen.append(labels) or real(labels, nbrs)))
+    return seen
+
+
+def test_a_block_graph_is_built_only_when_a_caller_needs_it(monkeypatch):
+    from mvdcolor.solve import mvd_exact, mvd_via_blocks
+    from mvdcolor.verify import is_mvd_coloring
+
+    rng = random.Random(29)
+    sparse = [path_graph(3000), random_tree(rng, 3000), random_cactus(rng, 200, even_only=False)]
+    census = [g for gs in census_graphs(9).values() for g in gs]
+    builds = _count_graph_builds(monkeypatch)
+    for g in sparse:
+        builds.clear()
+        assert is_mvd_coloring(g, mvd_via_blocks(g).coloring).ok
+        # trivial blocks are solved and stitched from their vertices; each cycle block's graph is built once
+        cycles = [b.labels for b in decompose(g).blocks if not b.trivial]
+        assert sorted(builds) == sorted(cycles) and len(cycles) == len(set(cycles))
+    assert len(cycles) > 50
+    builds.clear()
+    for g in census:
+        assert is_mvd_coloring(g, mvd_exact(g).coloring).ok
+    # a 2-connected graph is its own block, and is searched and checked in place
+    assert builds == []
+
+
+def test_a_kept_decomposition_refers_to_no_graph():
+    import gc
+    import weakref
+
+    rng = random.Random(7)
+    for make in (lambda: cycle_graph(6), lambda: random_cactus(rng, 12, even_only=False)):
+        g = make()
+        dec = decompose(g)
+        assert [b.graph.order for b in dec.blocks]  # read every block's graph
+        gone = weakref.ref(g)
+        gc.disable()
+        try:
+            del g  # with no cycle through it, the graph's last reference frees it
+            assert gone() is None
+        finally:
+            gc.enable()
+        assert all(b.labels == b.graph.labels for b in dec.blocks)
 
 
 def test_a_solve_and_its_verdict_share_one_decomposition(monkeypatch):
