@@ -13,28 +13,27 @@ An explicit stack lets the search survive paths too long for recursion.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
 from .graph import Graph, _induced
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Block:
     """One block of a parent graph: its parent-graph vertices, ascending, and
     the subgraph they induce, built on first read and then kept.  The block
     keeps the parent's label and adjacency tuples, not the parent, so the
-    decomposition kept on a graph holds no reference back to it."""
+    decomposition kept on a graph holds no reference back to it.
+    ``Block(vertices, parent)`` fills in the three fields in one step."""
 
     vertices: tuple[int, ...]
-    parent: InitVar[Graph]
-    parent_labels: tuple[str, ...] = field(init=False, repr=False)
-    parent_neighbors: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+    parent_labels: tuple[str, ...] = field(repr=False)
+    parent_neighbors: tuple[tuple[int, ...], ...] = field(repr=False)
 
-    def __post_init__(self, parent: Graph) -> None:
-        object.__setattr__(self, "parent_labels", parent.labels)
-        object.__setattr__(self, "parent_neighbors", parent.neighbors)
+    def __init__(self, vertices: tuple[int, ...], parent: Graph) -> None:
+        vars(self).update(vertices=vertices, parent_labels=parent.labels, parent_neighbors=parent.neighbors)
 
     @property
     def trivial(self) -> bool:

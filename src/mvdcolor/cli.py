@@ -103,19 +103,11 @@ def _cmd_solve(args) -> tuple[list[str], dict, int]:
     # the block pipeline verifies each block once while stitching: "self_check" reports that
     result = solve_auto(g, load_catalog(args.catalog) if args.catalog else None)
     coloring = result.coloring if args.preserve_colors else renumber_colors(g, result.coloring)
-    lines = [_digest_line(g), f"mvd = {result.value}", f"method: {result.method}"]
-    report_blocks = []
-    for i, (block, how) in enumerate(zip(decompose(g).blocks, result.block_methods), start=1):
-        labels = sorted(block.labels)
-        lines.append(f"block {i} {{{', '.join(labels)}}}: {how}")
-        report_blocks.append({"labels": labels, "method": how})
-    lines.append("coloring:")
-    color_lines = [f"{g.labels[v]}:{coloring[v]}" for v in sorted(range(g.order), key=lambda v: g.labels[v])]
-    lines.extend(color_lines)
+    report_blocks = [{"labels": sorted(block.labels), "method": how}
+                     for block, how in zip(decompose(g).blocks, result.block_methods)]
     if args.emit_dot:
         with open(args.emit_dot, "w", encoding="utf-8") as fh:
             fh.write(to_dot(g, coloring))
-        lines.append(f"wrote {args.emit_dot}")
     report = {
         "input": _digest(g),
         "mvd": result.value,
@@ -124,6 +116,15 @@ def _cmd_solve(args) -> tuple[list[str], dict, int]:
         "coloring": {g.labels[v]: coloring[v] for v in range(g.order)},
         "self_check": "PASS",
     }
+    if args.json:  # the text lines would not be printed
+        return [], report, EXIT_OK
+    lines = [_digest_line(g), f"mvd = {result.value}", f"method: {result.method}"]
+    lines += [f"block {i} {{{', '.join(b['labels'])}}}: {b['method']}"
+              for i, b in enumerate(report_blocks, start=1)]
+    lines.append("coloring:")
+    lines += [f"{g.labels[v]}:{coloring[v]}" for v in sorted(range(g.order), key=g.labels.__getitem__)]
+    if args.emit_dot:
+        lines.append(f"wrote {args.emit_dot}")
     return lines, report, EXIT_OK
 
 

@@ -7,7 +7,6 @@ a graph.  All operations are pure and graphs may be shared freely.
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -78,16 +77,18 @@ class Graph:
         object.__setattr__(self, "label_index", index)
 
     @classmethod
-    def _unchecked(cls, labels: tuple[str, ...], neighbors: tuple[tuple[int, ...], ...]) -> "Graph":
+    def _unchecked(cls, labels: tuple[str, ...], neighbors: tuple[tuple[int, ...], ...],
+                   masks: Optional[Sequence[int]] = None) -> "Graph":
         """``__post_init__`` without its checks, for this module's builders,
         whose labels are nonempty and distinct and whose adjacency is sorted,
-        symmetric and duplicate-free."""
-        masks = []
-        for nbrs in neighbors:
-            m = 0
-            for w in nbrs:
-                m |= 1 << w
-            masks.append(m)
+        symmetric and duplicate-free, and given the adjacency masks if known."""
+        if masks is None:
+            masks = []
+            for nbrs in neighbors:
+                m = 0
+                for w in nbrs:
+                    m |= 1 << w
+                masks.append(m)
         g = object.__new__(cls)
         vars(g).update(labels=labels, neighbors=neighbors, adj_masks=tuple(masks),
                        label_index={lab: i for i, lab in enumerate(labels)})
@@ -210,19 +211,32 @@ def _split_tokens(line: str) -> list[str]:
     return [tok.strip() for tok in line.split(",")]
 
 
-_ROW = re.compile(r"[01](?:,[01])*")
 _DROP_SPACES = str.maketrans("", "", " \t")  # splitlines breaks at the other ASCII spaces
 
 
-def _row_mask(raw: str, n: int, line: int) -> int:
-    """One matrix row as the mask of its 1 entries, entry j as bit j.
+def _row_masks(rows: Sequence[str], n: int) -> list[int]:
+    """The matrix rows as masks of their 1 entries, entry j as bit j.
 
-    A row that is n single 0/1 digits and commas once its spaces and tabs are
-    dropped is read in one step.  Any other row is read token by token, which
-    accepts every space ``str.strip`` drops and names the first bad token.
+    The rows are checked together: with spaces and tabs dropped and the rows
+    joined by newlines, an n x n table's commas and row breaks must fill the
+    odd positions and its n^2 0s and 1s the even ones, and then each row is
+    read in one step.  Otherwise each row is read on its own by ``_row_mask``.
     """
+    flat = "\n".join(rows)
+    if flat.isascii():  # other text cannot pass, and translate is slow on it
+        flat = flat.translate(_DROP_SPACES)
+        if flat[1::2] == (("," * (n - 1) + "\n") * n)[:-1] and flat.count("0") + flat.count("1") == n * n:
+            return [int(row[::-2], 2) for row in flat.split("\n")]
+    return [_row_mask(raw, n, line) for line, raw in enumerate(rows, start=2)]
+
+
+def _row_mask(raw: str, n: int, line: int) -> int:
+    """One matrix row as the mask of its 1 entries: in one step when it is n
+    single 0/1 digits and commas once its spaces and tabs are dropped, else
+    token by token, which accepts every space ``str.strip`` drops and names
+    the first bad token."""
     row = raw.translate(_DROP_SPACES)
-    if len(row) == 2 * n - 1 and _ROW.fullmatch(row):
+    if len(row) == 2 * n - 1 and row[1::2] == "," * (n - 1) and not row[::2].strip("01"):
         return int(row[::-2], 2)
     toks = _split_tokens(raw)
     if len(toks) != n:
@@ -244,8 +258,8 @@ def parse_matrix(text: str) -> tuple[Graph, Optional[dict[int, int]]]:
     symmetric, zero-diagonal n x n matrix.  Either every label carries a color
     or none does.  Returns the graph plus the coloring, or None without colors.
 
-    Each row is read as a bitmask (see ``_row_mask``), and the graph is built
-    from the masks.  Errors name the first bad row, then, row by row, a
+    The rows are read as bitmasks (see ``_row_masks``), and once checked the
+    masks are the graph's.  Errors name the first bad row, then, row by row, a
     nonzero diagonal entry or the row's least asymmetric entry.
     """
     lines = [ln for ln in text.splitlines()]
@@ -290,7 +304,7 @@ def parse_matrix(text: str) -> tuple[Graph, Optional[dict[int, int]]]:
 
     if len(lines) - 1 != n:
         raise GraphFormatError(f"expected {n} matrix rows, found {len(lines) - 1}", line=len(lines))
-    masks = [_row_mask(raw, n, i) for i, raw in enumerate(lines[1:], start=2)]
+    masks = _row_masks(lines[1:], n)
     # Below-diagonal entries give the neighbour lists, in ascending order, and
     # the transpose of the lower triangle, which each row's upper part must match.
     nbrs: list[list[int]] = [[] for _ in range(n)]
@@ -310,7 +324,7 @@ def parse_matrix(text: str) -> tuple[Graph, Optional[dict[int, int]]]:
         if asym := (m ^ upper[i]) >> (i + 1):
             j = i + (asym & -asym).bit_length()
             raise GraphFormatError(f"asymmetric entries for {labels[i]!r},{labels[j]!r}", line=2 + j, column=i + 1)
-    g = Graph._unchecked(tuple(labels), tuple(map(tuple, nbrs)))
+    g = Graph._unchecked(tuple(labels), tuple(map(tuple, nbrs)), masks)
     if colors[0] is None:
         return g, None
     return g, dict(enumerate(colors))  # type: ignore[arg-type]

@@ -20,6 +20,7 @@ decomposition order, and composes the value as ``sum of block values - r + 1``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from . import verify
@@ -298,7 +299,8 @@ def stitch_colorings(dec: BlockDecomposition, per_block: Sequence[Mapping[int, i
     global_coloring: dict[int, int] = {}
     next_color = 1
     for block, local in zip(reversed(dec.blocks), reversed(per_block)):
-        _require_total(block.labels, local)
+        if local.keys() != set(range(len(block.vertices))) or min(local.values()) < 1:
+            _require_total(block.labels, local)  # names what is missing or wrong
         rename = {local[i]: global_coloring[v] for i, v in enumerate(block.vertices) if v in global_coloring}
         for c in sorted(set(local.values())):
             if c not in rename:
@@ -316,16 +318,20 @@ def stitch_colorings(dec: BlockDecomposition, per_block: Sequence[Mapping[int, i
     return global_coloring
 
 
+_BRIDGE = MvdResult(2, MappingProxyType({0: 1, 1: 2}), "trivial")  # type: ignore[arg-type]
+
+
 def solve_block(block: Block, catalog: Optional[Catalog]) -> MvdResult:
     """Solve one block by its cheapest certified answer: trivial, the O(n)
     closed form, catalog lookup (a canonical search), then exact search.
 
     The result's ``method`` is the block's trail entry: ``trivial``,
     ``closed-form``, ``catalog:<id>`` naming the matched entry, or ``exact``.
-    A trivial block is answered before its graph is read, so none is built.
+    A trivial block is answered before its graph is read, so none is built,
+    and every trivial block shares one result, whose coloring is read-only.
     """
     if block.trivial:
-        return MvdResult(2, {0: 1, 1: 2}, "trivial")
+        return _BRIDGE
     bg = block.graph
     closed = mvd_closed_form(bg)
     if closed is not None:

@@ -11,7 +11,8 @@ disjoint paths between a nonadjacent pair certify, ``threads``,
 ``shorten_thread``,
 ``triangle_blocks_value``, which reads the library's block decomposition,
 ``reference_parse_matrix``, the whole-file tokenising matrix reader that
-the one-pass reader replaced, and
+the one-pass reader replaced, ``reference_row_mask``, the row reader that
+matched each row on its own before the rows were checked together, and
 ``reference_canonical_labelling``, the canonical search whose refinement sorts
 every touched cell whole, which the move-only-touched-vertices refinement
 replaced.  ``networkx_minimal_blocks_up_to`` builds the census with
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import re
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from mvdcolor.blocks import decompose, is_minimally_two_connected
@@ -398,6 +400,29 @@ def reference_parse_matrix(text: str) -> tuple[Graph, Optional[dict[int, int]]]:
     if colors[0] is None:
         return g, None
     return g, dict(enumerate(colors))  # type: ignore[arg-type]
+
+
+_REFERENCE_ROW = re.compile(r"[01](?:,[01])*")
+
+
+def reference_row_mask(raw: str, n: int, line: int) -> int:
+    """One matrix row as the mask of its 1 entries, entry j as bit j: in one
+    step when, with spaces and tabs dropped, a regular expression matches n
+    single 0/1 digits and commas, else token by token, naming the first bad
+    token."""
+    row = raw.replace(" ", "").replace("\t", "")
+    if len(row) == 2 * n - 1 and _REFERENCE_ROW.fullmatch(row):
+        return int(row[::-2], 2)
+    toks = [tok.strip() for tok in raw.split(",")]
+    if len(toks) != n:
+        raise GraphFormatError(f"expected {n} entries, found {len(toks)}", line=line)
+    mask = 0
+    for col, tok in enumerate(toks, start=1):
+        if tok not in ("0", "1"):
+            raise GraphFormatError(f"matrix entry must be 0 or 1, got {tok!r}", line=line, column=col)
+        if tok == "1":
+            mask |= 1 << (col - 1)
+    return mask
 
 
 def _reference_split(lab: list[int], start: list[int], end: list[int], c: int, key: Callable) -> list[tuple[int, int]]:

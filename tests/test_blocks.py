@@ -207,7 +207,7 @@ def _count_graph_builds(monkeypatch) -> list:
     the block's included, ends in ``Graph._unchecked``."""
     seen = []
     real = Graph._unchecked
-    monkeypatch.setattr(Graph, "_unchecked", classmethod(lambda cls, labels, nbrs: seen.append(labels) or real(labels, nbrs)))
+    monkeypatch.setattr(Graph, "_unchecked", classmethod(lambda cls, labels, *rest: seen.append(labels) or real(labels, *rest)))
     return seen
 
 

@@ -4,11 +4,13 @@ import itertools
 import random
 import re
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mvdcolor.graph as graph_module
 from mvdcolor.graph import (
     Graph,
     GraphFormatError,
@@ -27,7 +29,7 @@ from mvdcolor.graph import (
 )
 from builders import format_edge_list
 from builders import random_connected_graph
-from oracles import components, reference_parse_matrix
+from oracles import components, reference_parse_matrix, reference_row_mask
 
 C4_TEXT = """a, b, c, d
 0, 1, 0, 1
@@ -73,6 +75,9 @@ def test_parse_resource_with_colors(data_dir):
         ("a, b, c\n0, 1, 1\n0, 0, 0\n0, 0, 0\n", "asymmetric entries for 'a','b'", 3),
         ("a, a\n0, 1\n1, 0\n", "duplicate label", 1),
         ("a, b\n0, x\n1, 0\n", "must be 0 or 1", 2),
+        # rows that are 0/1 digits and commas, but too short or with a comma typed as a digit
+        ("a, b, c\n0, 1,\n1, 0, 0\n0, 0, 0\n", "must be 0 or 1, got ''", 2),
+        ("a, b, c\n0, 1, 0\n1, 0, 0\n0, 001\n", "expected 3 entries, found 2", 4),
         ("a, b:zero\n0, 1\n1, 0\n", "bad color", 1),
     ],
 )
@@ -136,29 +141,42 @@ def test_matrix_round_trip(data):
 # str.strip drops, or ASCII spaces and a carriage return, which splits a line
 _PADS = st.sampled_from([
     ["", "", " ", "  ", "\t", " \t "],
-    ["", " ", "\x1f", "\u00a0", "\u2003 "],
+    ["", " ", "\x1f", "\u00a0", "\u2003 ", "\u3000", "\t\u202f"],
     ["", "", "", " ", "\t"] * 30 + ["\r"],
 ])
-_STRAY = st.sampled_from(["x", "2", "01", "", "0 1", "-1", "1.0", "\uff11"])
+# "\uff11" and "1_0" are read by int(), but are not single 0/1 digits
+_STRAY = st.sampled_from(["x", "2", "01", "", "0 1", "-1", "1.0", "\uff11", "1_0", "00"])
 
 
 @st.composite
 def matrix_texts(draw) -> str:
-    """Matrix-format text, valid or with one fault: a short or long row, a
-    stray token, a nonzero diagonal entry or an asymmetric pair."""
+    """Matrix-format text, valid or with one fault: the empty file, a row
+    too many or too few, a short or long row, a comma typed as a digit, a
+    stray token, a nonzero diagonal entry or an asymmetric pair.  Lines end
+    in LF or CRLF, and the text may end in blank lines."""
     n = draw(st.integers(min_value=1, max_value=6))
+    fault = draw(st.sampled_from(
+        ["none", "none", "empty", "rows", "short", "long", "comma", "stray", "stray", "diagonal", "asymmetric"]))
+    if fault == "empty":
+        return draw(st.sampled_from(["", "\n", " \n\t\n", "\r\n\r\n"]))
     pairs = list(itertools.combinations(range(n), 2))
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     rows = [["0"] * n for _ in range(n)]
     for u, v in edges:
         rows[u][v] = rows[v][u] = "1"
-    fault = draw(st.sampled_from(["none", "none", "short", "long", "stray", "diagonal", "asymmetric"]))
     i = draw(st.integers(0, n - 1))
     j = draw(st.integers(0, n - 1))
-    if fault == "short":
+    if fault == "rows" and draw(st.booleans()):
+        rows.insert(i, list(rows[j]))
+    elif fault == "rows":
+        rows.pop(i)
+    elif fault == "short":
         rows[i].pop()
     elif fault == "long":
         rows[i].append(draw(st.sampled_from(["0", "1"])))
+    elif fault == "comma" and n > 1:  # the row keeps its width once spaces are dropped
+        k = min(j, n - 2)
+        rows[i][k:k + 2] = [rows[i][k] + draw(st.sampled_from(["0", "1"])) + rows[i][k + 1]]
     elif fault == "stray":
         rows[i][j] = draw(_STRAY)
     elif fault == "diagonal":
@@ -170,22 +188,37 @@ def matrix_texts(draw) -> str:
     if draw(st.booleans()):
         labels = [f"{lab}:{draw(st.integers(1, 3))}" for lab in labels]
     lines = [", ".join(labels)]
-    pad = st.sampled_from(draw(_PADS))
-    lines += [",".join(draw(pad) + tok + draw(pad) for tok in row) for row in rows]
-    return "\n".join(lines) + draw(st.sampled_from(["\n", "\r\n", "", "\n\n"]))
+    pads = draw(_PADS)
+    for row in rows:
+        # a row may keep to plain spaces, so that it is read in one step beside odd rows
+        pad = st.sampled_from(draw(st.sampled_from([pads, ["", " "]])))
+        lines.append(",".join(draw(pad) + tok + draw(pad) for tok in row))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end, end * 2, end + " \t" + end]))
 
 
 def _parse_outcome(parse, text):
+    """The parsed labels, adjacency, masks and coloring, or the error's text and place."""
     try:
-        return parse(text)
+        g, coloring = parse(text)
     except GraphFormatError as err:
         return str(err), err.line, err.column
+    return g.labels, g.neighbors, g.adj_masks, coloring
 
 
-@settings(max_examples=400, deadline=None)
+def _per_row_masks(rows, n):
+    return [reference_row_mask(raw, n, line) for line, raw in enumerate(rows, start=2)]
+
+
+@settings(max_examples=600, deadline=None)
 @given(matrix_texts())
 def test_parse_matrix_agrees_with_reference_reader(text):
-    assert _parse_outcome(parse_matrix, text) == _parse_outcome(reference_parse_matrix, text)
+    # the rows are checked together and read in one step each, or else token by token;
+    # one oracle reads every row token by token, the other matches each row on its own
+    outcome = _parse_outcome(parse_matrix, text)
+    assert outcome == _parse_outcome(reference_parse_matrix, text)
+    with mock.patch.object(graph_module, "_row_masks", _per_row_masks):
+        assert outcome == _parse_outcome(parse_matrix, text)
 
 
 def test_parse_large_theta_matrix_within_budget(tmp_path):

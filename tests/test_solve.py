@@ -518,6 +518,20 @@ def test_stitch_rejects_bad_block_coloring():
         stitch_colorings(dec4, [{0: 1, 1: 2, 2: 3, 3: 2}])
 
 
+@pytest.mark.parametrize("g, local, message", [
+    (path_graph(3), {0: 1}, "coloring misses vertices: c"),
+    (path_graph(3), {0: 0, 1: 2}, "colors must be positive, got 0"),
+    (path_graph(3), {0: 1, 1: 2, 5: 3}, "coloring mentions unknown vertex index 5"),
+    (cycle_graph(5), {0: 1, 1: 2, 2: 1, 3: 2}, "coloring misses vertices: e"),
+    (cycle_graph(5), {0: 1, 1: 2, 2: 1, 3: 2, 4: -1}, "colors must be positive, got -1"),
+], ids=["missing", "nonpositive", "unknown", "cycle-missing", "cycle-nonpositive"])
+def test_stitch_names_what_a_local_coloring_lacks(g, local, message):
+    # the first block's local coloring is at fault; P3's first block is {b, c}
+    dec = decompose(g)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        stitch_colorings(dec, [local] + [{0: 1, 1: 2}] * (dec.r - 1))
+
+
 def test_stitch_properties_on_random_block_trees():
     rng = random.Random(23)
     templates = [cycle_graph(4), cycle_graph(5), theta_graph([1, 1, 1]), path_graph(2)]
@@ -548,6 +562,21 @@ def test_stitch_properties_on_random_block_trees():
                 ci = {stitched[v] for v in dec.blocks[i].vertices}
                 cj = {stitched[v] for v in dec.blocks[j].vertices}
                 assert ci & cj == {stitched[w]}
+
+
+def test_the_shared_bridge_result_does_not_leak():
+    # every trivial block is answered by one shared result; what a solve returns is its own
+    g = random_tree(random.Random(30), 40)
+    first, second = mvd_via_blocks(g), mvd_via_blocks(Graph.from_edges(g.labels, g.edges()))
+    assert first.coloring == second.coloring and first.coloring is not second.coloring
+    want = dict(first.coloring)
+    first.coloring.update(dict.fromkeys(first.coloring, 7))
+    assert mvd_via_blocks(g).coloring == want == second.coloring
+    bridge = solve_block(decompose(g).blocks[0], None)
+    assert bridge.coloring == {0: 1, 1: 2} and bridge.value == 2
+    with pytest.raises(TypeError):
+        bridge.coloring[0] = 2  # type: ignore[index]
+    assert solve_block(decompose(path_graph(2)).blocks[0], None).coloring == {0: 1, 1: 2}
 
 
 def test_via_blocks_on_worked_example(data_dir):
@@ -622,6 +651,47 @@ def test_block_solve_scales_to_long_paths_and_cacti():
         if g.order < 1000:  # whole-graph verification builds one O(n) class view per colour: n of them here
             assert is_mvd_coloring(g, res.coloring).ok
         assert ok, line
+
+
+def test_sparse_block_solve_time_grows_linearly():
+    """Doubling guard: doubling the order of a path, a random tree or a random
+    cactus of C3-C7 and bridges at most triples the block solve's time (about
+    2 when it is linear).  Runs on fresh graphs, so each decomposes too,
+    alternate between the orders, and each run at 2n is timed against the
+    mean of the runs at n on either side of it; the median of 5 such ratios
+    is checked.  The host's speed can switch by 1.6x for tens of
+    milliseconds, which a best-of-5 ratio (the quickest run at n against the
+    quickest at 2n) does not survive.  As in ``timeit``, the collector is off
+    while a run is timed."""
+    import gc
+
+    def timed(g: Graph) -> float:
+        fresh = Graph.from_edges(g.labels, g.edges())
+        gc.collect()
+        gc.disable()
+        try:
+            t0 = time.perf_counter()
+            mvd_via_blocks(fresh)
+            return time.perf_counter() - t0
+        finally:
+            gc.enable()
+
+    rng = random.Random(31)
+    families = {
+        "path": path_graph,
+        "tree": lambda n: random_tree(rng, n),
+        "cactus": lambda n: random_cactus(rng, n * 2 // 7, even_only=False),  # 3.5 new vertices a block
+    }
+    for name, build in families.items():
+        small, large = build(2000), build(4000)
+        before, ratios = timed(small), []
+        for _ in range(5):
+            t_large, after = timed(large), timed(small)
+            ratios.append(2 * t_large / (before + after))
+            before = after
+        ratio = sorted(ratios)[2]
+        print(f"doubling {name}: orders {small.order} -> {large.order}, time x{ratio:.2f}")
+        assert ratio <= 3, f"{name}: doubling the order multiplied the solve time by {ratio:.2f}"
 
 
 @pytest.mark.parametrize("n, budget", [(1500, 12.0), (2000, 2.5)], ids=["C1500", "C2000"])
