@@ -13,7 +13,7 @@ import argparse
 import functools
 import json
 import sys
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from .analysis import bound_blocks, bound_half_order, classify
 from .blocks import decompose
@@ -98,7 +98,7 @@ def _cmd_decompose(args) -> tuple[list[str], dict, int]:
     return lines, report, EXIT_OK
 
 
-def _cmd_solve(args) -> tuple[list[str], dict, int]:
+def _cmd_solve(args) -> tuple[Iterable[str], dict, int]:
     g, _ = load_graph(args.graph)
     # the block pipeline verifies each block once while stitching: "self_check" reports that
     result = solve_auto(g, load_catalog(args.catalog) if args.catalog else None)
@@ -116,16 +116,20 @@ def _cmd_solve(args) -> tuple[list[str], dict, int]:
         "coloring": {g.labels[v]: coloring[v] for v in range(g.order)},
         "self_check": "PASS",
     }
-    if args.json:  # the text lines would not be printed
-        return [], report, EXIT_OK
-    lines = [_digest_line(g), f"mvd = {result.value}", f"method: {result.method}"]
-    lines += [f"block {i} {{{', '.join(b['labels'])}}}: {b['method']}"
-              for i, b in enumerate(report_blocks, start=1)]
-    lines.append("coloring:")
-    lines += [f"{g.labels[v]}:{coloring[v]}" for v in sorted(range(g.order), key=g.labels.__getitem__)]
-    if args.emit_dot:
-        lines.append(f"wrote {args.emit_dot}")
-    return lines, report, EXIT_OK
+
+    def lines() -> Iterator[str]:  # built only if main prints the text report
+        yield _digest_line(g)
+        yield f"mvd = {result.value}"
+        yield f"method: {result.method}"
+        for i, b in enumerate(report_blocks, start=1):
+            yield f"block {i} {{{', '.join(b['labels'])}}}: {b['method']}"
+        yield "coloring:"
+        for v in sorted(range(g.order), key=g.labels.__getitem__):
+            yield f"{g.labels[v]}:{coloring[v]}"
+        if args.emit_dot:
+            yield f"wrote {args.emit_dot}"
+
+    return lines(), report, EXIT_OK
 
 
 def _cmd_verify(args) -> tuple[list[str], dict, int]:

@@ -211,33 +211,31 @@ def _split_tokens(line: str) -> list[str]:
     return [tok.strip() for tok in line.split(",")]
 
 
-_DROP_SPACES = str.maketrans("", "", " \t")  # splitlines breaks at the other ASCII spaces
+_DROP_SPACES = str.maketrans("", "", " \t\x1f")  # splitlines breaks at the other ASCII spaces
 
 
 def _row_masks(rows: Sequence[str], n: int) -> list[int]:
     """The matrix rows as masks of their 1 entries, entry j as bit j.
 
-    The rows are checked together: with spaces and tabs dropped and the rows
+    The rows are checked together: with their spaces dropped and the rows
     joined by newlines, an n x n table's commas and row breaks must fill the
     odd positions and its n^2 0s and 1s the even ones, and then each row is
-    read in one step.  Otherwise each row is read on its own by ``_row_mask``.
+    read in one step.  Otherwise each row is read token by token by
+    ``_row_mask``.
     """
     flat = "\n".join(rows)
-    if flat.isascii():  # other text cannot pass, and translate is slow on it
+    if flat.isascii():
         flat = flat.translate(_DROP_SPACES)
-        if flat[1::2] == (("," * (n - 1) + "\n") * n)[:-1] and flat.count("0") + flat.count("1") == n * n:
-            return [int(row[::-2], 2) for row in flat.split("\n")]
+    else:  # translate is slow on other text, so split the rows that hold it at their spaces
+        flat = "\n".join(r.translate(_DROP_SPACES) if r.isascii() else "".join(r.split()) for r in rows)
+    if flat[1::2] == (("," * (n - 1) + "\n") * n)[:-1] and flat.count("0") + flat.count("1") == n * n:
+        return [int(row[::-2], 2) for row in flat.split("\n")]
     return [_row_mask(raw, n, line) for line, raw in enumerate(rows, start=2)]
 
 
 def _row_mask(raw: str, n: int, line: int) -> int:
-    """One matrix row as the mask of its 1 entries: in one step when it is n
-    single 0/1 digits and commas once its spaces and tabs are dropped, else
-    token by token, which accepts every space ``str.strip`` drops and names
-    the first bad token."""
-    row = raw.translate(_DROP_SPACES)
-    if len(row) == 2 * n - 1 and row[1::2] == "," * (n - 1) and not row[::2].strip("01"):
-        return int(row[::-2], 2)
+    """One matrix row as the mask of its 1 entries, read token by token, which
+    accepts every space ``str.strip`` drops and names the first bad token."""
     toks = _split_tokens(raw)
     if len(toks) != n:
         raise GraphFormatError(f"expected {n} entries, found {len(toks)}", line=line)

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 from . import verify
 from .blocks import Block, BlockDecomposition, decompose
 from .graph import Graph, GuardError, _bits, is_complete, theta_threads, triangle_free
-from .verify import _require_total, color_count, pair_rows, partition_passes
+from .verify import _is_total, _require_total, color_count, pair_rows, partition_passes
 
 if TYPE_CHECKING:
     from .catalog import Catalog
@@ -42,11 +42,13 @@ class MvdResult:
     top-level results; ``solve_block``'s results carry the trail entry
     instead (``trivial``, ``catalog:<id>``, ``closed-form`` or ``exact``).
     ``block_methods`` carries the per-block trail when the block pipeline
-    produced the result, in the order of ``decompose(g).blocks``.
+    produced the result, in the order of ``decompose(g).blocks``.  The
+    coloring is a dict, except on the one result ``solve_block`` shares among
+    all trivial blocks, whose coloring is read-only.
     """
 
     value: int
-    coloring: dict[int, int]
+    coloring: Mapping[int, int]
     method: str
     block_methods: tuple[str, ...] = field(default=(), compare=False)
 
@@ -299,8 +301,8 @@ def stitch_colorings(dec: BlockDecomposition, per_block: Sequence[Mapping[int, i
     global_coloring: dict[int, int] = {}
     next_color = 1
     for block, local in zip(reversed(dec.blocks), reversed(per_block)):
-        if local.keys() != set(range(len(block.vertices))) or min(local.values()) < 1:
-            _require_total(block.labels, local)  # names what is missing or wrong
+        if not _is_total(len(block.vertices), local):  # block.labels is built only to word the error
+            _require_total(block.labels, local)
         rename = {local[i]: global_coloring[v] for i, v in enumerate(block.vertices) if v in global_coloring}
         for c in sorted(set(local.values())):
             if c not in rename:
@@ -318,7 +320,7 @@ def stitch_colorings(dec: BlockDecomposition, per_block: Sequence[Mapping[int, i
     return global_coloring
 
 
-_BRIDGE = MvdResult(2, MappingProxyType({0: 1, 1: 2}), "trivial")  # type: ignore[arg-type]
+_BRIDGE = MvdResult(2, MappingProxyType({0: 1, 1: 2}), "trivial")
 
 
 def solve_block(block: Block, catalog: Optional[Catalog]) -> MvdResult:

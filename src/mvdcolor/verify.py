@@ -53,7 +53,15 @@ class MvdVerdict:
         return _certificate(self.graph, self.colors) if self.ok else None
 
 
+def _is_total(n: int, coloring: Mapping[int, int]) -> bool:
+    """Whether the coloring gives vertices 0..n-1, and nothing else, positive colors."""
+    return coloring.keys() == set(range(n)) and not (coloring and min(coloring.values()) < 1)
+
+
 def _require_total(labels: Sequence[str], coloring: Mapping[int, int]) -> None:
+    """Raise ``ValueError`` unless ``_is_total``, naming what is missing or wrong."""
+    if _is_total(len(labels), coloring):
+        return
     missing = [lab for v, lab in enumerate(labels) if v not in coloring]
     if missing:
         raise ValueError(f"coloring misses vertices: {', '.join(sorted(missing))}")

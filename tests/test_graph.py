@@ -190,7 +190,7 @@ def matrix_texts(draw) -> str:
     lines = [", ".join(labels)]
     pads = draw(_PADS)
     for row in rows:
-        # a row may keep to plain spaces, so that it is read in one step beside odd rows
+        # a row may keep to plain spaces, so that the per-row oracle reads it in one step beside odd rows
         pad = st.sampled_from(draw(st.sampled_from([pads, ["", " "]])))
         lines.append(",".join(draw(pad) + tok + draw(pad) for tok in row))
     end = draw(st.sampled_from(["\n", "\r\n"]))
@@ -236,6 +236,20 @@ def test_parse_large_theta_matrix_within_budget(tmp_path):
     print(line)
     assert (g.order, g.size, coloring) == (1502, 1503, None)
     assert ok, line
+    # a non-breaking space in one row costs about 1.4x; were every row then read
+    # token by token, it would cost about 7x
+    lines = text.split("\n")
+    lines[7] = lines[7].replace(" ", "\u00a0", 1)
+    odd = "\n".join(lines)
+    assert parse_matrix(odd) == (g, None)
+    best = {text: float("inf"), odd: float("inf")}
+    for _ in range(3):
+        for body in best:
+            t0 = time.perf_counter()
+            parse_matrix(body)
+            best[body] = min(best[body], time.perf_counter() - t0)
+    assert best[odd] < 3 * best[text], (best[odd], best[text])
+
 
 def test_edge_list_round_trip():
     g = Graph.from_edges(["a", "b", "c", "d"], [(0, 1)])

@@ -84,8 +84,20 @@ def test_verdicts():
 
 
 def test_verdict_requires_total_coloring():
-    with pytest.raises(ValueError, match="misses"):
-        is_mvd_coloring(cycle_graph(4), {0: 1, 1: 2})
+    # each error names the first thing wrong: missing vertices, then by key order
+    # an unknown index or a nonpositive color
+    c4 = cycle_graph(4)
+    assert is_mvd_coloring(c4, {0: 1, 1: 2, 2: 1, 3: 2}).ok
+    for coloring, message in [
+        ({0: 1, 1: 2}, "coloring misses vertices: c, d"),
+        ({0: 1, 1: 2, 2: 1, 3: 2, 4: 1}, "coloring mentions unknown vertex index 4"),
+        ({0: 1, 1: 2, 2: 1, -1: 1}, "coloring misses vertices: d"),
+        ({0: 1, 1: 2, 2: 1, 3: 2, -1: 1}, "coloring mentions unknown vertex index -1"),
+        ({0: 1, 1: 0, 2: 1, 3: 2}, "colors must be positive, got 0"),
+        ({0: 1, 1: 2, 2: -3, 3: 2, 7: 1}, "colors must be positive, got -3"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            is_mvd_coloring(c4, coloring)
 
 
 def test_restrict():
